@@ -1,24 +1,34 @@
 """Command-line front end.
 
-Every command resolves its configuration (defaults, then config file, then
-flags), runs the requested computation, writes a JSON report to stdout and
-any CSV/PGM artifacts to the output directory.  Exit codes: 0 success,
-2 validation error, 3 numerical failure; errors print a machine-readable
-JSON object.  Reports embed the resolved configuration, snap errors and the
-tool version, and repeated invocations are served from a content-addressed
-cache (artifacts are only rewritten on a cache miss).
+Every command is one entry of ``COMMANDS``: its help text, its handler and
+its typed parameters.  That table drives the subcommand parser, the
+config-file keys and merge (flags, then config file, then defaults), the
+required-parameter check and the cache key.  A handler returns its result
+and its artifacts; ``run`` writes a JSON report to stdout and the CSV/PGM
+artifacts to the output directory.  Exit codes: 0 success, 2 validation
+error, 3 numerical failure; errors print a machine-readable JSON object.
+Reports embed the resolved configuration, snap errors and the tool version.
+Repeated invocations are served from a content-addressed cache whose entries
+hold the result and the artifact bytes, so a hit restores the artifacts into
+whichever output directory was requested.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
+from dataclasses import asdict, dataclass
+from functools import partial
+from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .cache import cache_get_or_compute, cache_key
+from .cache import cache_get_or_compute, cache_key, source_fingerprint
 from .config import ConfigError, RunConfig, load_config_file
 from .core import SampleGrid, Signal
 from .duality import (
@@ -39,7 +49,7 @@ from .hrt import (
     extension_integral,
     gramian,
 )
-from .lattices import SnapError, make_lattice
+from .lattices import Lattice, make_lattice
 from .serialize import (
     field_csv,
     field_pgm,
@@ -58,15 +68,9 @@ from .wilson import (
     wilson_onb_report,
     wilson_parseval_residual,
 )
-from .windows import WindowSpec, WraparoundError, parse_window, sample_window
+from .windows import WindowSpec, parse_window, sample_window
 
-VALIDATION_ERRORS = (
-    ConfigError,
-    SnapError,
-    WraparoundError,
-    ValueError,
-    argparse.ArgumentError,
-)
+# exit 3; every other ValueError (config, snap, wraparound, ...) exits 2
 NUMERICAL_ERRORS = (
     NotAFrameError,
     SingularSliceError,
@@ -75,26 +79,35 @@ NUMERICAL_ERRORS = (
     InsufficientCoverageError,
 )
 
-COMMANDS = [
-    "stft",
-    "framebounds",
-    "dual",
-    "tight",
-    "janssen",
-    "bspline-dual",
-    "scan",
-    "wilson",
-    "hrt-gram",
-    "hrt-extension",
-    "classify",
-]
+
+# Parameter types: each converts one flag or config-file string.
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _switch(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _choice(*names: str) -> Callable[[str], str]:
+    def choice(text: str) -> str:
+        if text not in names:
+            raise ConfigError(f"expected one of {list(names)}, got {text!r}")
+        return text
+
+    return choice
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ConfigError(f"expected a range like 0..2, got {text!r}")
-    return float(lo), float(hi)
+    return _finite(lo), _finite(hi)
 
 
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
@@ -106,323 +119,159 @@ def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
         a, sep, b = chunk.partition(",")
         if not sep:
             raise ConfigError(f"expected 'a,b' pairs separated by ';', got {chunk!r}")
-        pts.append((float(a), float(b)))
+        pts.append((_finite(a), _finite(b)))
     if not pts:
         raise ConfigError("empty point list")
     return tuple(pts)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gaborlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class Param:
+    """One parameter: flag ``--name`` (``_`` as ``-``) and config-file key ``name``.
 
-    def common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--L", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--window", default=None)
-        p.add_argument("--outdir", default=None)
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--wrap-tol", type=float, default=None)
-        return p
+    ``keyed`` parameters enter the cache key.  A ``_switch`` parameter is on
+    by default and its flag is ``--no-name``.
+    """
 
-    p = common(sub.add_parser("framebounds", help="frame bounds of a lattice system"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--snap-tol", type=float, default=None)
+    name: str
+    type: Callable[[str], Any] = str
+    default: Any = None
+    required: bool = False
+    keyed: bool = True
+    help: str | None = None
 
-    for name in ("dual", "tight"):
-        p = common(sub.add_parser(name, help=f"canonical {name} window"))
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--snap-tol", type=float, default=None)
-
-    for name in ("janssen", "bspline-dual"):
-        p = common(
-            sub.add_parser(
-                name,
-                help="duality residual" if name == "janssen" else "compact dual window",
-            )
-        )
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--m", default=None)
-
-    p = common(sub.add_parser("scan", help="frame-set scan over (alpha, beta)"))
-    p.add_argument("--alpha", help="range lo..hi")
-    p.add_argument("--beta", help="range lo..hi")
-    p.add_argument("--res", type=int)
-    p.add_argument("--snap-tol", type=float, default=None)
-
-    p = common(sub.add_parser("wilson", help="Wilson system residuals and atoms"))
-    p.add_argument("--beta", type=float)
-    p.add_argument("--variant", choices=["classical", "general"], default=None)
-
-    p = common(sub.add_parser("hrt-gram", help="Gramian of a shift configuration"))
-    p.add_argument("--points", help="a,b;a,b;...")
-
-    p = common(sub.add_parser("hrt-extension", help="extension function field"))
-    p.add_argument("--base", help="three points a,b;a,b;a,b")
-    p.add_argument("--domain", help="range lo..hi (both axes)")
-    p.add_argument("--res", type=int)
-
-    p = common(sub.add_parser("classify", help="region or configuration labels"))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--points", default=None)
-
-    p = common(sub.add_parser("stft", help="phase-space transform diagnostics"))
-    p.add_argument("--signal-window", default=None, help="window spec used as the test signal")
-
-    return parser
+    @property
+    def flag(self) -> str:
+        return ("--no-" if self.type is _switch else "--") + self.name.replace("_", "-")
 
 
-# command parameter schema: (attribute, converter) plus which are required
-_PARAM_TYPES = {
-    "alpha": float,
-    "beta": float,
-    "snap_tol": float,
-    "res": int,
-    "m": str,
-    "points": str,
-    "base": str,
-    "domain": str,
-    "variant": str,
-    "signal_window": str,
-}
-_SCAN_PARAM_TYPES = dict(_PARAM_TYPES, alpha=str, beta=str)  # ranges, not numbers
-_REQUIRED = {
-    "framebounds": ("alpha", "beta"),
-    "dual": ("alpha", "beta"),
-    "tight": ("alpha", "beta"),
-    "janssen": ("alpha", "beta"),
-    "bspline-dual": ("alpha", "beta"),
-    "scan": ("alpha", "beta", "res"),
-    "wilson": ("beta",),
-    "hrt-gram": ("points",),
-    "hrt-extension": ("base", "domain", "res"),
-    "classify": (),
-    "stft": (),
-}
-_DEFAULTS = {"m": "auto", "variant": "classical"}
+@dataclass(frozen=True)
+class Command:
+    help: str
+    handler: Callable[[RunConfig, SimpleNamespace], tuple[dict, dict[str, str | bytes]]]
+    params: tuple[Param, ...]
 
 
-def _merge_file_params(args, file_values: dict[str, str], log) -> None:
-    """Config-file values fill unset command parameters; flags win."""
-    types = _SCAN_PARAM_TYPES if args.command == "scan" else _PARAM_TYPES
-    for key, conv in types.items():
-        if not hasattr(args, key):
-            continue
-        flag_val = getattr(args, key)
-        if key in file_values:
-            if flag_val is None:
-                setattr(args, key, conv(file_values[key]))
-                log(f"config: {key} = {file_values[key]} (from file)")
-            else:
-                log(f"config: {key} from flags overrides file value {file_values[key]}")
-    for key, default in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
-    missing = [k for k in _REQUIRED[args.command] if getattr(args, k, None) is None]
-    if missing:
-        raise ConfigError(f"missing required parameters for {args.command}: {missing}")
+COMMON = (
+    Param("L", int, 1024),
+    Param("delta", _finite, 1.0 / 32.0),
+    Param("window", str, "gaussian"),
+    Param("outdir", str, ".", keyed=False),  # artifact location does not change the result
+    Param("cache", _switch, True, keyed=False),
+    Param("threads", int, 1, keyed=False),  # results are schedule-independent
+    Param("wrap_tol", _finite, 1e-12),
+)
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
-    if "L" in file_values:
-        cfg.L = int(file_values["L"])
-    if "delta" in file_values:
-        cfg.delta = float(file_values["delta"])
-    if "window" in file_values:
-        cfg.window = file_values["window"]
-    if "outdir" in file_values:
-        cfg.outdir = file_values["outdir"]
-    if "cache" in file_values:
-        cfg.cache = file_values["cache"].lower() in ("1", "true", "yes", "on")
-    if "threads" in file_values:
-        cfg.threads = int(file_values["threads"])
-    if "wrap_tol" in file_values:
-        cfg.wrap_tol = float(file_values["wrap_tol"])
-    # flags override file values
-    if getattr(args, "L", None) is not None:
-        cfg.L = args.L
-    if getattr(args, "delta", None) is not None:
-        cfg.delta = args.delta
-    if getattr(args, "window", None) is not None:
-        cfg.window = args.window
-    if getattr(args, "outdir", None) is not None:
-        cfg.outdir = args.outdir
-    if getattr(args, "no_cache", False):
-        cfg.cache = False
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-    if getattr(args, "wrap_tol", None) is not None:
-        cfg.wrap_tol = args.wrap_tol
-    cfg.extra = dict(file_values)
-    cfg.validate()
-    return cfg
+# Command implementations: each returns (result, {artifact path: str or bytes}).
 
 
-def _grid(cfg: RunConfig) -> SampleGrid:
-    return SampleGrid(cfg.L, cfg.delta)
+def _sample(cfg: RunConfig, spec: str) -> Signal:
+    return sample_window(parse_window(spec), SampleGrid(cfg.L, cfg.delta), wrap_tol=cfg.wrap_tol)
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "L": cfg.L,
-        "delta": cfg.delta,
-        "window": cfg.window,
-        "outdir": cfg.outdir,
-        "cache": cfg.cache,
-        "threads": cfg.threads,
-        "wrap_tol": cfg.wrap_tol,
-    }
+def _snap(g: Signal, p) -> tuple[Lattice, dict]:
+    """The lattice nearest (p.alpha, p.beta) on g's grid, and its report entry."""
+    lat, a_err, b_err = make_lattice(g.grid, p.alpha, p.beta, snap_tol=p.snap_tol)
+    echo = {key: getattr(lat, key) for key in ("a", "b", "alpha", "beta", "redundancy")}
+    return lat, dict(echo, alpha_snap_error=a_err, beta_snap_error=b_err)
 
 
-def _lattice_echo(lat, a_err: float, b_err: float) -> dict:
-    return {
-        "a": lat.a,
-        "b": lat.b,
-        "alpha": lat.alpha,
-        "beta": lat.beta,
-        "redundancy": lat.redundancy,
-        "alpha_snap_error": a_err,
-        "beta_snap_error": b_err,
-    }
-
-
-def _write(outdir: str, name: str, data) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(path, mode) as fh:
-        fh.write(data)
-    return path
-
-
-# ---------------------------------------------------------------------------
-# Command implementations.  Each returns the result dict and writes artifacts.
-# ---------------------------------------------------------------------------
-
-
-def _cmd_framebounds(cfg: RunConfig, args) -> dict:
-    grid = _grid(cfg)
-    g = sample_window(parse_window(cfg.window), grid, wrap_tol=cfg.wrap_tol)
-    lat, a_err, b_err = make_lattice(grid, args.alpha, args.beta, snap_tol=args.snap_tol)
+def _cmd_framebounds(cfg: RunConfig, p):
+    g = _sample(cfg, cfg.window)
+    lat, echo = _snap(g, p)
     rep = frame_bounds(g, lat)
-    return {
+    result = {
         "A": rep.A,
         "B": rep.B,
         "condition": rep.condition,
         "is_frame": rep.is_frame,
         "method": rep.method,
-        "lattice": _lattice_echo(lat, a_err, b_err),
+        "lattice": echo,
     }
+    return result, {}
 
 
-def _cmd_dual_or_tight(cfg: RunConfig, args, which: str) -> dict:
-    grid = _grid(cfg)
-    g = sample_window(parse_window(cfg.window), grid, wrap_tol=cfg.wrap_tol)
-    lat, a_err, b_err = make_lattice(grid, args.alpha, args.beta, snap_tol=args.snap_tol)
-    if which == "dual":
-        w = canonical_dual(g, lat)
-    else:
-        w = canonical_tight(g, lat)
+def _cmd_canonical(cfg: RunConfig, p, which: str):
+    g = _sample(cfg, cfg.window)
+    lat, echo = _snap(g, p)
+    w = (canonical_dual if which == "dual" else canonical_tight)(g, lat)
     rep = frame_bounds(w, lat)
-    _write(cfg.outdir, f"{which}_window.csv", signal_csv(w))
-    return {
+    name = f"{which}_window.csv"
+    result = {
         "window_norm": w.norm,
         "system_A": rep.A,
         "system_B": rep.B,
-        "artifact": f"{which}_window.csv",
-        "lattice": _lattice_echo(lat, a_err, b_err),
+        "artifact": name,
+        "lattice": echo,
     }
+    return result, {name: signal_csv(w)}
 
 
-def _bspline_order(cfg: RunConfig) -> int:
+def _cmd_compact(cfg: RunConfig, p, artifact: bool):
     spec = parse_window(cfg.window)
     if spec.family != "bspline":
         raise ConfigError(f"this command needs a bspline window, got {spec.label()}")
-    return int(spec.param)
-
-
-def _cmd_bspline_dual(cfg: RunConfig, args, with_artifact: bool) -> dict:
-    N = _bspline_order(cfg)
-    m = args.m if args.m == "auto" else int(args.m)
-    h = bspline_compact_dual(N, args.alpha, args.beta, m=m)
+    N = int(spec.param)
+    h = bspline_compact_dual(N, p.alpha, p.beta, m=p.m if p.m == "auto" else int(p.m))
     g = compact_window(WindowSpec("bspline", N))
-    res = janssen_residual(g, h, args.alpha, args.beta)
-    out = {
+    result = {
         "support": [h.x_lo, h.x_hi],
         "step": h.step,
         "provenance": h.provenance,
-        "janssen_residual": res,
-        "alpha": args.alpha,
-        "beta": args.beta,
+        "janssen_residual": janssen_residual(g, h, p.alpha, p.beta),
+        "alpha": p.alpha,
+        "beta": p.beta,
     }
-    if with_artifact:
-        lines = ["x,value"]
-        for xv, v in zip(h.positions(), h.samples):
-            lines.append(f"{fmt_float(xv)},{fmt_float(float(np.real(v)))}")
-        out["artifact"] = "compact_dual.csv"
-        _write(cfg.outdir, "compact_dual.csv", "\n".join(lines) + "\n")
-    return out
+    if not artifact:
+        return result, {}
+    lines = ["x,value"]
+    for x, v in zip(h.positions(), h.samples):
+        lines.append(f"{fmt_float(x)},{fmt_float(float(np.real(v)))}")
+    result["artifact"] = "compact_dual.csv"
+    return result, {"compact_dual.csv": "\n".join(lines) + "\n"}
 
 
-def _cmd_scan(cfg: RunConfig, args) -> dict:
-    grid = _grid(cfg)
-    spec = parse_window(cfg.window)
+def _cmd_scan(cfg: RunConfig, p):
     fmap = scan_frame_set(
-        spec,
-        _parse_range(args.alpha),
-        _parse_range(args.beta),
-        args.res,
-        grid,
-        snap_tol=args.snap_tol,
+        parse_window(cfg.window),
+        p.alpha,
+        p.beta,
+        p.res,
+        SampleGrid(cfg.L, cfg.delta),
+        snap_tol=p.snap_tol,
         threads=cfg.threads,
         wrap_tol=cfg.wrap_tol,
     )
-    _write(cfg.outdir, "frameset.csv", framemap_csv(fmap))
-    _write(cfg.outdir, "frameset.pgm", framemap_pgm(fmap))
     finite = fmap.A[np.isfinite(fmap.A)]
-    return {
+    result = {
         "cells": int(fmap.resolution**2),
         "a_min": float(finite.min()) if finite.size else None,
         "a_max": float(finite.max()) if finite.size else None,
         "artifacts": ["frameset.csv", "frameset.pgm"],
     }
+    return result, {"frameset.csv": framemap_csv(fmap), "frameset.pgm": framemap_pgm(fmap)}
 
 
-def _cmd_wilson(cfg: RunConfig, args) -> dict:
-    grid = _grid(cfg)
-    w = make_wilson_window(parse_window(cfg.window), args.beta, grid, wrap_tol=cfg.wrap_tol)
-    if args.variant == "classical":
+def _cmd_wilson(cfg: RunConfig, p):
+    grid = SampleGrid(cfg.L, cfg.delta)
+    w = make_wilson_window(parse_window(cfg.window), p.beta, grid, wrap_tol=cfg.wrap_tol)
+    if p.variant == "classical":
         system = build_wilson_classical(w)
     else:
-        system = build_wilson_general(w, args.beta)
+        system = build_wilson_general(w, p.beta)
     onb = wilson_onb_report(system)
-    atoms_dir = os.path.join(cfg.outdir, "wilson_atoms")
-    os.makedirs(atoms_dir, exist_ok=True)
-    norms = []
-    for i in range(system.n_atoms):
-        sig = Signal(grid, system.atoms[i])
-        norms.append(sig.norm)
-        _write(atoms_dir, f"atom_{i:04d}.csv", signal_csv(sig))
+    atoms = [Signal(grid, values) for values in system.atoms]
+    artifacts = {f"wilson_atoms/atom_{i:04d}.csv": signal_csv(a) for i, a in enumerate(atoms)}
     manifest = {
         "variant": system.variant,
         "beta": system.beta,
         "n_atoms": system.n_atoms,
         "index": [list(jm) for jm in system.index],
-        "norms": norms,
+        "norms": [a.norm for a in atoms],
     }
-    _write(atoms_dir, "manifest.json", stable_json(manifest) + "\n")
-    return {
+    artifacts["wilson_atoms/manifest.json"] = stable_json(manifest) + "\n"
+    result = {
         "variant": system.variant,
         "beta": system.beta,
         "n_atoms": system.n_atoms,
@@ -432,14 +281,14 @@ def _cmd_wilson(cfg: RunConfig, args) -> dict:
         "is_onb": onb.is_onb,
         "artifacts": ["wilson_atoms/manifest.json"],
     }
+    return result, artifacts
 
 
-def _cmd_hrt_gram(cfg: RunConfig, args) -> dict:
-    grid = _grid(cfg)
-    g = sample_window(parse_window(cfg.window), grid, wrap_tol=cfg.wrap_tol).unit()
-    config = Configuration(_parse_points(args.points))
+def _cmd_hrt_gram(cfg: RunConfig, p):
+    g = _sample(cfg, cfg.window).unit()
+    config = Configuration(p.points)
     rep = gramian(g, config)
-    return {
+    result = {
         "n_points": len(config),
         "eigenvalues": list(map(float, rep.eigenvalues)),
         "det": rep.det,
@@ -448,155 +297,223 @@ def _cmd_hrt_gram(cfg: RunConfig, args) -> dict:
         "independence_threshold": rep.independence_threshold,
         "labels": classify_configuration(config) if len(config) >= 2 else [],
     }
+    return result, {}
 
 
-def _cmd_hrt_extension(cfg: RunConfig, args) -> dict:
-    grid = _grid(cfg)
-    g = sample_window(parse_window(cfg.window), grid, wrap_tol=cfg.wrap_tol)
-    base = Configuration(_parse_points(args.base))
-    field = extension_field(g, base, domain=_parse_range(args.domain), resolution=args.res)
-    integral = extension_integral(field)
-    _write(cfg.outdir, "extension_field.csv", field_csv(field))
-    _write(cfg.outdir, "extension_field.pgm", field_pgm(field))
-    return {
-        "integral": integral,
+def _cmd_hrt_extension(cfg: RunConfig, p):
+    g = _sample(cfg, cfg.window)
+    field = extension_field(g, Configuration(p.base), domain=p.domain, resolution=p.res)
+    result = {
+        "integral": extension_integral(field),
         "F_min": float(field.F.min()),
         "F_max": float(field.F.max()),
-        "base": [list(p) for p in field.base.points],
+        "base": [list(pt) for pt in field.base.points],
         "artifacts": ["extension_field.csv", "extension_field.pgm"],
     }
+    artifacts = {"extension_field.csv": field_csv(field), "extension_field.pgm": field_pgm(field)}
+    return result, artifacts
 
 
-def _cmd_classify(cfg: RunConfig, args) -> dict:
-    has_ab = args.alpha is not None and args.beta is not None
-    if has_ab == (args.points is not None):
+def _cmd_classify(cfg: RunConfig, p):
+    has_ab = p.alpha is not None and p.beta is not None
+    if has_ab == (p.points is not None):
         raise ConfigError("pass either --alpha/--beta (region label) or --points (configuration)")
     if has_ab:
-        label = classify_point_g2(args.alpha, args.beta)
-        return {"alpha": args.alpha, "beta": args.beta, "label": label.value}
-    config = Configuration(_parse_points(args.points))
-    return {"points": [list(p) for p in config.points], "labels": classify_configuration(config)}
+        label = classify_point_g2(p.alpha, p.beta)
+        return {"alpha": p.alpha, "beta": p.beta, "label": label.value}, {}
+    config = Configuration(p.points)
+    result = {"points": [list(x) for x in config.points], "labels": classify_configuration(config)}
+    return result, {}
 
 
-def _cmd_stft(cfg: RunConfig, args) -> dict:
-    grid = _grid(cfg)
-    g = sample_window(parse_window(cfg.window), grid, wrap_tol=cfg.wrap_tol).unit()
-    sig_spec = args.signal_window or cfg.window
-    f = sample_window(parse_window(sig_spec), grid, wrap_tol=cfg.wrap_tol)
+def _cmd_stft(cfg: RunConfig, p):
+    g = _sample(cfg, cfg.window).unit()
+    sig_spec = p.signal_window or cfg.window
+    f = _sample(cfg, sig_spec)
     V = stft(f, g)
     energy = stft_energy(V)
     rec = stft_invert(V, g, g)
-    rec_err = Signal(grid, rec.values - f.values).norm / f.norm
     mag = np.abs(V.values)
-    _write(cfg.outdir, "stft_magnitude.pgm", write_pgm_bytes(mag[::-1, :], float(mag.max())))
-    return {
+    result = {
         "signal_window": sig_spec,
         "energy": energy,
         "isometry_residual": abs(energy - f.norm**2) / f.norm**2,
-        "inversion_residual": rec_err,
+        "inversion_residual": Signal(f.grid, rec.values - f.values).norm / f.norm,
         "artifacts": ["stft_magnitude.pgm"],
     }
+    return result, {"stft_magnitude.pgm": write_pgm_bytes(mag[::-1, :], float(mag.max()))}
 
 
-def _semantic(cfg: RunConfig, args, command: str) -> dict:
-    sem = dict(_config_echo(cfg))
-    sem.pop("outdir")  # artifact location does not change the result
-    sem.pop("cache")
-    sem.pop("threads")  # results are schedule-independent
-    for key in (
-        "alpha",
-        "beta",
-        "snap_tol",
-        "m",
-        "res",
-        "points",
-        "base",
-        "domain",
-        "variant",
-        "signal_window",
-    ):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            sem[key] = getattr(args, key)
+# The command table.
+
+_ALPHA = Param("alpha", _finite, required=True)
+_BETA = Param("beta", _finite, required=True)
+_SNAP_TOL = Param("snap_tol", _finite)
+_RES = Param("res", int, required=True)
+_LATTICE = (_ALPHA, _BETA, _SNAP_TOL)
+_COMPACT = (_ALPHA, _BETA, Param("m", str, "auto"))
+_SCAN = (
+    Param("alpha", _parse_range, required=True, help="range lo..hi"),
+    Param("beta", _parse_range, required=True, help="range lo..hi"),
+    _RES,
+    _SNAP_TOL,
+)
+_WILSON = (_BETA, Param("variant", _choice("classical", "general"), "classical"))
+_GRAM = (Param("points", _parse_points, required=True, help="a,b;a,b;..."),)
+_EXTENSION = (
+    Param("base", _parse_points, required=True, help="three points a,b;a,b;a,b"),
+    Param("domain", _parse_range, required=True, help="range lo..hi (both axes)"),
+    _RES,
+)
+_CLASSIFY = (Param("alpha", _finite), Param("beta", _finite), Param("points", _parse_points))
+_STFT = (Param("signal_window", help="window spec used as the test signal"),)
+
+COMMANDS = {
+    "framebounds": Command("frame bounds of a lattice system", _cmd_framebounds, _LATTICE),
+    "dual": Command("canonical dual window", partial(_cmd_canonical, which="dual"), _LATTICE),
+    "tight": Command("canonical tight window", partial(_cmd_canonical, which="tight"), _LATTICE),
+    "janssen": Command("duality residual", partial(_cmd_compact, artifact=False), _COMPACT),
+    "bspline-dual": Command("compact dual window", partial(_cmd_compact, artifact=True), _COMPACT),
+    "scan": Command("frame-set scan over (alpha, beta)", _cmd_scan, _SCAN),
+    "wilson": Command("Wilson system residuals and atoms", _cmd_wilson, _WILSON),
+    "hrt-gram": Command("Gramian of a shift configuration", _cmd_hrt_gram, _GRAM),
+    "hrt-extension": Command("extension function field", _cmd_hrt_extension, _EXTENSION),
+    "classify": Command("region or configuration labels", _cmd_classify, _CLASSIFY),
+    "stft": Command("phase-space transform diagnostics", _cmd_stft, _STFT),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every subcommand, with flags only for those in ``argv`` (all flags cost more than a hit)."""
+    parser = argparse.ArgumentParser(prog="gaborlab", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name not in argv:
+            continue
+        p.add_argument("--config", help="key = value configuration file")
+        for param in COMMON + command.params:
+            if param.type is _switch:
+                p.add_argument(param.flag, dest=param.name, action="store_const", const=False)
+            else:
+                p.add_argument(param.flag, dest=param.name, type=param.type, help=param.help)
+    return parser
+
+
+def _merge_dash_values(argv: list[str]) -> list[str]:
+    """Glue range and point-list values, which may begin with '-', onto their flags."""
+    dash_flags = {
+        param.flag
+        for command in COMMANDS.values()
+        for param in command.params
+        if param.type in (_parse_range, _parse_points)
+    }
+    merged, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in dash_flags else None
+        merged.append(tok if value is None else f"{tok}={value}")
+    return merged
+
+
+def _resolve(args, params: tuple[Param, ...]) -> dict[str, Any]:
+    """Each parameter from its flag, else the config file (logged), else its default."""
+    file_values = load_config_file(args.config, {p.name for p in params}) if args.config else {}
+    values = {}
+    for p in params:
+        flag_value, raw = getattr(args, p.name), file_values.get(p.name)
+        if flag_value is not None:
+            values[p.name] = flag_value
+            if raw is not None:
+                print(f"config: {p.name} from flags overrides file value {raw}", file=sys.stderr)
+        elif raw is not None:
+            values[p.name] = p.type(raw)
+            print(f"config: {p.name} = {raw} (from file)", file=sys.stderr)
+        else:
+            values[p.name] = p.default
+    return values
+
+
+def _semantic(command: str, values: dict[str, Any]) -> dict[str, Any]:
+    params = COMMON + COMMANDS[command].params
+    sem = {p.name: values[p.name] for p in params if p.keyed and values[p.name] is not None}
     sem["command"] = command
     return sem
 
 
-_DASH_VALUE_FLAGS = {"--domain", "--points", "--base"}
+def _pack(result: dict, artifacts: dict[str, str | bytes]) -> str:
+    """A header line (result, artifact sizes), then the artifact bytes as latin-1 text."""
+    data = {name: a.encode() if isinstance(a, str) else a for name, a in artifacts.items()}
+    head = {"result": stable_json(result), "sizes": {name: len(d) for name, d in data.items()}}
+    return json.dumps(head) + "\n" + b"".join(data.values()).decode("latin-1")
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    """Glue values that begin with '-' onto their flags for argparse."""
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(tok)
-            i += 1
-    return merged
+def _unpack(payload: str) -> tuple[dict, dict[str, bytes]]:
+    head, _, body = payload.partition("\n")
+    meta = json.loads(head)
+    data = body.encode("latin-1")
+    artifacts, start = {}, 0
+    for name, size in meta["sizes"].items():
+        artifacts[name] = data[start : start + size]
+        start += size
+    return json.loads(meta["result"]), artifacts
+
+
+def _write_artifacts(outdir: str, artifacts: dict[str, bytes]) -> None:
+    """Write each artifact, leaving files that already hold the same bytes untouched."""
+    for name, data in artifacts.items():
+        path = os.path.join(outdir, name)
+        if os.path.isfile(path) and os.path.getsize(path) == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    continue
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+
+def _error(kind: str, message: str, code: int) -> int:
+    print(stable_json({"error": {"kind": kind, "message": message}}))
+    return code
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_dash_values(argv))
+        args = _build_parser(argv).parse_args(_merge_dash_values(argv))
     except SystemExit as exc:
-        if exc.code not in (0, None):
-            print(
-                stable_json({"error": {"kind": "validation", "message": "invalid arguments"}})
-            )
-            return 2
-        return 0
-
-    handlers = {
-        "framebounds": lambda cfg: _cmd_framebounds(cfg, args),
-        "dual": lambda cfg: _cmd_dual_or_tight(cfg, args, "dual"),
-        "tight": lambda cfg: _cmd_dual_or_tight(cfg, args, "tight"),
-        "janssen": lambda cfg: _cmd_bspline_dual(cfg, args, with_artifact=False),
-        "bspline-dual": lambda cfg: _cmd_bspline_dual(cfg, args, with_artifact=True),
-        "scan": lambda cfg: _cmd_scan(cfg, args),
-        "wilson": lambda cfg: _cmd_wilson(cfg, args),
-        "hrt-gram": lambda cfg: _cmd_hrt_gram(cfg, args),
-        "hrt-extension": lambda cfg: _cmd_hrt_extension(cfg, args),
-        "classify": lambda cfg: _cmd_classify(cfg, args),
-        "stft": lambda cfg: _cmd_stft(cfg, args),
-    }
-
+        return 0 if exc.code in (0, None) else _error("validation", "invalid arguments", 2)
+    command = COMMANDS[args.command]
     try:
-        cfg = _resolve_config(args)
-        _merge_file_params(args, cfg.extra, lambda m: print(m, file=sys.stderr))
+        values = _resolve(args, COMMON + command.params)
+        cfg = RunConfig(**{p.name: values[p.name] for p in COMMON})
+        cfg.validate()
+        missing = [p.name for p in command.params if p.required and values[p.name] is None]
+        if missing:
+            raise ConfigError(f"missing required parameters for {args.command}: {missing}")
+        params = SimpleNamespace(**{p.name: values[p.name] for p in command.params})
 
         def compute() -> str:
-            result = handlers[args.command](cfg)
-            report = {
-                "command": args.command,
-                "version": __version__,
-                "config": _config_echo(cfg),
-                "result": result,
-            }
-            return stable_json(report)
+            return _pack(*command.handler(cfg, params))
 
         if cfg.cache:
-            key = cache_key(args.command, _semantic(cfg, args, args.command))
-            payload, hit = cache_get_or_compute(key, compute, version=__version__)
+            key = cache_key(args.command, _semantic(args.command, values))
+            version = f"{__version__}+{source_fingerprint()}"
+            payload, hit = cache_get_or_compute(key, compute, version=version)
             if hit:
                 print(f"cache: hit {key[:12]}", file=sys.stderr)
         else:
             payload = compute()
-        print(payload)
+        result, artifacts = _unpack(payload)
+        _write_artifacts(cfg.outdir, artifacts)
+        report = {"command": args.command, "version": __version__, "config": asdict(cfg)}
+        print(stable_json(dict(report, result=result)))
         return 0
     except NUMERICAL_ERRORS as exc:
-        print(stable_json({"error": {"kind": "numerical", "message": str(exc)}}))
-        return 3
-    except VALIDATION_ERRORS as exc:
-        print(stable_json({"error": {"kind": "validation", "message": str(exc)}}))
-        return 2
+        return _error("numerical", str(exc), 3)
+    except ValueError as exc:
+        return _error("validation", str(exc), 2)
     except OSError as exc:
-        print(stable_json({"error": {"kind": "validation", "message": f"I/O failure: {exc}"}}))
-        return 2
+        return _error("validation", f"I/O failure: {exc}", 2)
 
 
 def entrypoint() -> None:

@@ -1,36 +1,16 @@
-"""Run configuration: defaults, config-file parsing, flag precedence."""
+"""Run configuration shared by all commands, and config-file parsing.
+
+The command-line table in ``gaborlab.cli`` declares every parameter with its
+type and default; this module holds the resolved common configuration and
+the ``key = value`` file reader.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Collection
 
-__all__ = ["RunConfig", "load_config_file", "ConfigError", "KNOWN_KEYS"]
-
-DEFAULT_L = 1024
-DEFAULT_DELTA = 1.0 / 32.0
-
-# every key a config file may set; command-line flags mirror these
-KNOWN_KEYS = {
-    "L",
-    "delta",
-    "window",
-    "alpha",
-    "beta",
-    "outdir",
-    "cache",
-    "threads",
-    "wrap_tol",
-    "snap_tol",
-    "res",
-    "m",
-    "base",
-    "points",
-    "domain",
-    "alpha_range",
-    "beta_range",
-    "variant",
-    "signal_window",
-}
+__all__ = ["RunConfig", "load_config_file", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -47,14 +27,13 @@ def _power_factor(n: int, p: int) -> int:
 class RunConfig:
     """Resolved configuration shared by all commands."""
 
-    L: int = DEFAULT_L
-    delta: float = DEFAULT_DELTA
-    window: str = "gaussian"
-    outdir: str = "."
-    cache: bool = True
-    threads: int = 1
-    wrap_tol: float = 1e-12
-    extra: dict = field(default_factory=dict)  # command-specific parameters
+    L: int
+    delta: float
+    window: str
+    outdir: str
+    cache: bool
+    threads: int
+    wrap_tol: float
 
     def validate(self) -> None:
         if self.L <= 0 or self.L % 2 != 0:
@@ -69,12 +48,15 @@ class RunConfig:
             raise ConfigError("threads must be at least 1")
 
 
-def load_config_file(path: str) -> dict[str, str]:
+def load_config_file(path: str, keys: Collection[str] | None = None) -> dict[str, str]:
     """Parse a line-oriented ``key = value`` file.
 
-    Blank lines are skipped; a line must contain exactly one '='; unknown
-    keys are errors.  Returns raw string values (typing happens at merge).
+    Blank lines are skipped; a line must contain exactly one '='; keys
+    outside ``keys`` (by default the ``RunConfig`` fields) are errors.
+    Returns raw string values (typing happens at merge).
     """
+    if keys is None:
+        keys = {f.name for f in fields(RunConfig)}
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -86,7 +68,7 @@ def load_config_file(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("="))
             if not key or not value:
                 raise ConfigError(f"{path}:{lineno}: malformed line {line!r}")
-            if key not in KNOWN_KEYS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value
     return values

@@ -9,6 +9,7 @@ deterministic regardless of schedule.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -66,7 +67,11 @@ def scan_frame_set(
     threads: int = 1,
     wrap_tol: float = 1e-12,
 ) -> FrameSetMap:
-    """Scan frame bounds over a resolution x resolution grid of targets."""
+    """Scan frame bounds over a resolution x resolution grid of targets.
+
+    ``threads`` asks for a pool; it never gets more workers than there are
+    cells or CPUs.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if not (alpha_range[0] >= 0 and beta_range[0] >= 0):
@@ -98,8 +103,9 @@ def scan_frame_set(
         B[i, j] = rep.B
 
     cells = [(i, j) for i in range(resolution) for j in range(resolution)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+    workers = min(threads, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             list(ex.map(run_cell, cells))
     else:
         for c in cells:

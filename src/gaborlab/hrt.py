@@ -54,7 +54,13 @@ class Configuration:
 
     def __post_init__(self) -> None:
         pts = tuple((float(a), float(b)) for a, b in self.points)
-        rounded = {(round(a / 1e-12), round(b / 1e-12)) for a, b in pts}
+        try:
+            rounded = {(round(a / 1e-12), round(b / 1e-12)) for a, b in pts}
+        except (OverflowError, ValueError):  # nan, inf, or too large for the 1e-12 grid
+            raise ValueError(
+                "configuration point coordinates must be finite and small enough "
+                "to compare at 1e-12 resolution"
+            ) from None
         if len(rounded) != len(pts):
             raise ValueError("configuration points must be pairwise distinct")
         object.__setattr__(self, "points", pts)

@@ -25,10 +25,7 @@ __all__ = [
 
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """17 significant digits; non-finite values print as nan, inf, -inf."""
     return format(float(x), ".17g")
 
 
@@ -119,9 +116,10 @@ def framemap_pgm(fmap, a_ref: float | None = None) -> bytes:
 def field_csv(field) -> str:
     """Extension field as CSV rows (a, b, F)."""
     lines = ["a,b,F"]
-    for i, b in enumerate(field.b_grid):
-        for j, a in enumerate(field.a_grid):
-            lines.append(f"{fmt_float(a)},{fmt_float(b)},{fmt_float(field.F[i, j])}")
+    a_text = [fmt_float(a) for a in field.a_grid.tolist()]
+    for b, row in zip(field.b_grid.tolist(), field.F.tolist()):
+        b_text = fmt_float(b)
+        lines.extend(f"{a},{b_text},{f:.17g}" for a, f in zip(a_text, row))
     return "\n".join(lines) + "\n"
 
 
@@ -132,7 +130,6 @@ def field_pgm(field, ref: float = 1.0) -> bytes:
 def signal_csv(sig) -> str:
     """Signal samples as CSV rows (index, x, re, im)."""
     lines = ["index,x,re,im"]
-    x = sig.grid.x()
-    for j, (xv, v) in enumerate(zip(x, sig.values)):
-        lines.append(f"{j},{fmt_float(xv)},{fmt_float(v.real)},{fmt_float(v.imag)}")
+    rows = zip(sig.grid.x().tolist(), np.real(sig.values).tolist(), np.imag(sig.values).tolist())
+    lines.extend(f"{j},{x:.17g},{re:.17g},{im:.17g}" for j, (x, re, im) in enumerate(rows))
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from .core import SampleGrid, Signal, fourier
 from .frames import canonical_tight, frame_bounds
 from .lattices import Lattice
 from .windows import WindowSpec, sample_window
-from .zak import zak
+from .zak import zak_tightness
 
 __all__ = [
     "WilsonSystem",
@@ -270,21 +270,8 @@ def zak_onb_criterion(g: Signal) -> ZakOnbReport:
     The classical Wilson system of a unit-norm window g is an orthonormal
     basis exactly when the Gabor system of fourier(g) over the half-critical
     lattice (time step 1, frequency step 1/2, in dual-grid units) is tight
-    with bound 2.  This evaluates that lattice's Zak-domain symbol, i.e. the
-    width-2 Zak transform of fourier(g) with the half-quasiperiod shift in
-    the time slot, normalized so the tight value is the frame bound 2.
+    with bound 2, so this is ``zak_tightness`` applied to fourier(g): its
+    symbol's extremes, normalized so the tight value is the frame bound 2.
     """
-    ghat = fourier(g)
-    Ld = ghat.grid.L
-    a_f = 1.0 / ghat.grid.delta  # one dual-grid unit, T primal samples
-    if abs(a_f - round(a_f)) > 1e-9:
-        raise ValueError("dual-grid unit shift is not representable")
-    a = int(round(a_f))
-    K = 2 * a
-    if Ld % K != 0:
-        raise ValueError("dual-grid Zak factor 2T does not divide L")
-    b = Ld // K
-    Z = zak(ghat, K).values
-    mag2 = np.abs(Z) ** 2
-    crit = ghat.grid.delta * (Ld // b) * (mag2 + np.roll(mag2, a, axis=0))
-    return ZakOnbReport(value_min=float(crit.min()), value_max=float(crit.max()))
+    rep = zak_tightness(fourier(g))
+    return ZakOnbReport(value_min=rep.symbol_min, value_max=rep.symbol_max)

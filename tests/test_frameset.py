@@ -67,6 +67,36 @@ def test_thread_determinism():
     assert framemap_pgm(m1) == framemap_pgm(m4)
 
 
+@pytest.mark.parametrize(
+    "threads, res, cpus, workers",
+    [(10000, 2, 8, 4), (10000, 4, 8, 8), (3, 4, 8, 3), (10000, 4, 1, None), (1, 4, 8, None)],
+)
+def test_thread_pool_is_clamped(monkeypatch, threads, res, cpus, workers):
+    """The pool never gets more workers than cells or CPUs (no real threads start)."""
+    import gaborlab.frameset as frameset
+
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(frameset, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(frameset.os, "cpu_count", lambda: cpus)
+    m = scan_frame_set(WindowSpec("gaussian"), (0.5, 1.5), (0.5, 1.5), res, GRID, threads=threads)
+    assert started == ([] if workers is None else [workers])
+    assert np.all(np.isfinite(m.A))
+
+
 def test_csv_and_pgm_shapes(small_scan):
     csv = framemap_csv(small_scan)
     lines = csv.strip().split("\n")
