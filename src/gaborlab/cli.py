@@ -70,8 +70,10 @@ from .wilson import (
 )
 from .windows import WindowSpec, parse_window, sample_window
 
-# exit 3; every other ValueError (config, snap, wraparound, ...) exits 2
+# exit 3; every other ValueError (config, snap, wraparound, ...) exits 2.
+# LinAlgError subclasses ValueError, so it must be listed here.
 NUMERICAL_ERRORS = (
+    np.linalg.LinAlgError,
     NotAFrameError,
     SingularSliceError,
     BeyondProvenRegionsError,

@@ -3,7 +3,12 @@
 The frame operator of a separable lattice couples only grid indices that
 agree modulo P = L/b, so the full L x L operator splits into P Hermitian
 blocks of size b x b.  All spectral work (bounds, inverse, square root)
-happens per block, which keeps frame-set scans fast and exact.
+happens per block, which keeps frame-set scans fast and exact; each dual
+or tight window builds the blocks once.
+
+:func:`analysis` and :func:`synthesis` are the one time-frequency core of
+the package: the full phase-space STFT of :mod:`gaborlab.stft` is the
+finest lattice, a = b = 1.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
 ]
 
 FRAME_RATIO = 1e-6  # is_frame threshold: A > FRAME_RATIO * B
+DENSE_BLOCK_MAX = 2048  # frame_bounds: wider blocks go to Lanczos
 
 
 class NotAFrameError(ValueError):
@@ -108,9 +114,9 @@ def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
     k = np.arange(P)
     sign = np.where((k * b) % 2 == 0, 1.0, -1.0)
     w = P * np.fft.ifft(c * sign[None, :], axis=1)  # w[n, r], period P in j
-    tiled = np.tile(w, (1, b))  # w[n, j mod P]
-    out = np.sum(tiled * _rolled_windows(g.values, lat), axis=0)
-    return Signal(lat.grid, out)
+    G = _rolled_windows(g.values, lat).reshape(lat.n_time, b, P)  # j = s P + r
+    out = np.sum(w[:, None, :] * G, axis=0)
+    return Signal(lat.grid, out.reshape(L))
 
 
 def frame_apply(g: Signal, lat: Lattice, f: Signal) -> Signal:
@@ -125,99 +131,87 @@ def frame_operator_blocks(g: Signal, lat: Lattice) -> np.ndarray:
     S[i, j] = delta * P * [i = j mod P] * sum_n g[i - n a] conj(g[j - n a]).
     """
     _check(g, lat)
-    L, b = lat.grid.L, lat.b
     P = lat.n_freq
-    r = np.arange(P)[None, :, None]
-    s = np.arange(b)[None, None, :]
-    shifts = (np.arange(lat.n_time) * lat.a)[:, None, None]
-    idx = (r + s * P - shifts) % L
-    G = g.values[idx]  # (n_time, P, b)
-    blocks = lat.grid.delta * P * np.einsum("nrs,nrt->rst", G, np.conj(G))
-    return blocks
+    G = _rolled_windows(g.values, lat).reshape(lat.n_time, lat.b, P)  # j = s P + r
+    G = np.ascontiguousarray(G.transpose(0, 2, 1))  # (n_time, P, b)
+    return lat.grid.delta * P * np.einsum("nrs,nrt->rst", G, np.conj(G))
 
 
 def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
     """Assemble the dense L x L frame operator matrix (small L only)."""
-    L, b = lat.grid.L, lat.b
-    P = lat.n_freq
+    L, P = lat.grid.L, lat.n_freq
     blocks = frame_operator_blocks(g, lat)
     S = np.zeros((L, L), dtype=np.complex128)
     for r in range(P):
-        ix = r + P * np.arange(b)
+        ix = np.arange(r, L, P)
         S[np.ix_(ix, ix)] = blocks[r]
     return S
 
 
-def frame_bounds(g: Signal, lat: Lattice, method: str = "auto") -> FrameReport:
+def _frame_report(eigs: np.ndarray, lat: Lattice) -> FrameReport:
+    """Bounds from the (P, b) ascending eigenvalues of the frame-operator blocks."""
+    A = float(eigs[:, 0].min())
+    B = float(eigs[:, -1].max())
+    return FrameReport(A=max(A, 0.0), B=B, lattice=lat, method="block-dense")
+
+
+def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
     """Optimal frame bounds A, B as extremal eigenvalues of the frame operator.
 
-    ``method`` is "auto" (block eigensolver, dense per block; iterative
-    Lanczos fallback for block sizes above 2048), "block", or "iterative".
+    The size rule: blocks up to DENSE_BLOCK_MAX = 2048 wide are solved
+    densely ("block-dense"); wider blocks go to Lanczos on the matrix-free
+    operator ("iterative-lanczos"), which needs only a few frame-operator
+    applications where one dense b x b eigensolve costs O(b^3) time and
+    O(b^2) memory.  ``FrameReport.method`` says which one ran.
     """
     _check(g, lat)
-    if method == "auto":
-        method = "block" if lat.b <= 2048 else "iterative"
-    if method == "block":
-        blocks = frame_operator_blocks(g, lat)
-        eigs = np.linalg.eigvalsh(blocks)
-        A = float(eigs[:, 0].min())
-        B = float(eigs[:, -1].max())
-        return FrameReport(A=max(A, 0.0), B=B, lattice=lat, method="block-dense")
-    if method == "iterative":
-        from scipy.sparse.linalg import LinearOperator, eigsh
+    if lat.b <= DENSE_BLOCK_MAX:
+        return _frame_report(np.linalg.eigvalsh(frame_operator_blocks(g, lat)), lat)
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
-        L = lat.grid.L
+    L = lat.grid.L
 
-        def mv(v):
-            return frame_apply(g, lat, Signal(lat.grid, v)).values
+    def mv(v):
+        return frame_apply(g, lat, Signal(lat.grid, v)).values
 
-        op = LinearOperator((L, L), matvec=mv, dtype=np.complex128)
-        B = float(eigsh(op, k=1, which="LA", return_eigenvectors=False)[0])
-        A = float(eigsh(op, k=1, which="SA", return_eigenvectors=False)[0])
-        return FrameReport(A=max(A, 0.0), B=B, lattice=lat, method="iterative-lanczos")
-    raise ValueError(f"unknown method {method!r}")
+    op = LinearOperator((L, L), matvec=mv, dtype=np.complex128)
+    B = float(eigsh(op, k=1, which="LA", return_eigenvectors=False)[0])
+    A = float(eigsh(op, k=1, which="SA", return_eigenvectors=False)[0])
+    return FrameReport(A=max(A, 0.0), B=B, lattice=lat, method="iterative-lanczos")
 
 
-def _block_indices(lat: Lattice) -> np.ndarray:
-    P, b = lat.n_freq, lat.b
-    return np.arange(P)[:, None] + P * np.arange(b)[None, :]  # (P, b)
+def _blockwise(v: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The (P, b) view x[r, s] = v[r + s P] matching the frame-operator blocks."""
+    return v.reshape(lat.b, lat.n_freq).T
 
 
-def _require_frame(g: Signal, lat: Lattice) -> FrameReport:
-    rep = frame_bounds(g, lat)
+def _require_frame(eigs: np.ndarray, lat: Lattice) -> None:
+    rep = _frame_report(eigs, lat)
     if not rep.is_frame:
         raise NotAFrameError(
             f"system is not a frame: A={rep.A:.3e}, B={rep.B:.3e} "
             f"(threshold A > {FRAME_RATIO:g} B)"
         )
-    return rep
 
 
 def canonical_dual(g: Signal, lat: Lattice) -> Signal:
     """Dual window solving S g_dual = g, blockwise."""
-    _require_frame(g, lat)
     blocks = frame_operator_blocks(g, lat)
-    ix = _block_indices(lat)
-    rhs = g.values[ix]  # (P, b)
+    _require_frame(np.linalg.eigvalsh(blocks), lat)
+    rhs = _blockwise(g.values, lat)
     sol = np.linalg.solve(blocks, rhs[..., None])[..., 0]
-    out = np.empty(lat.grid.L, dtype=np.complex128)
-    out[ix] = sol
-    return Signal(lat.grid, out)
+    return Signal(lat.grid, sol.T.reshape(-1))
 
 
 def canonical_tight(g: Signal, lat: Lattice) -> Signal:
     """Tight window S^{-1/2} g via blockwise Hermitian eigendecomposition."""
-    _require_frame(g, lat)
-    blocks = frame_operator_blocks(g, lat)
-    w, U = np.linalg.eigh(blocks)
-    ix = _block_indices(lat)
-    gb = g.values[ix]
+    w, U = np.linalg.eigh(frame_operator_blocks(g, lat))
+    _require_frame(w, lat)
+    gb = _blockwise(g.values, lat)
     coeff = np.einsum("rbs,rb->rs", np.conj(U), gb)  # U^H g per block
     coeff = coeff / np.sqrt(w)
     sol = np.einsum("rsb,rb->rs", U, coeff)
-    out = np.empty(lat.grid.L, dtype=np.complex128)
-    out[ix] = sol
-    return Signal(lat.grid, out)
+    return Signal(lat.grid, sol.T.reshape(-1))
 
 
 def frame_bounds_refinement(window_spec, lat: Lattice, factor: int = 2):

@@ -374,9 +374,8 @@ def extension_field(
     base: Configuration,
     domain: tuple[float, float] = (-6.0, 6.0),
     resolution: int = 240,
-    b_domain: tuple[float, float] | None = None,
 ) -> ExtensionField:
-    """Evaluate F(a, b) = <A^{-1} u(a,b), u(a,b)> over a rectangle.
+    """Evaluate F(a, b) = <A^{-1} u(a,b), u(a,b)> over the square domain^2.
 
     The window is normalized to unit norm; the base is brought to the
     normal form containing (0,0), (0,1), (a0,0) first (coordinates only).
@@ -395,9 +394,8 @@ def extension_field(
         raise ValueError(f"base Gramian is not positive definite (eigs {eigs})")
     Ainv = np.linalg.inv(A)
 
-    b_domain = b_domain or domain
     a_grid = domain[0] + (domain[1] - domain[0]) * (np.arange(resolution) + 0.5) / resolution
-    b_grid = b_domain[0] + (b_domain[1] - b_domain[0]) * (np.arange(resolution) + 0.5) / resolution
+    b_grid = a_grid  # the same cell centers on both axes
 
     x = g.grid.x()
     E = np.exp(-2j * np.pi * np.outer(b_grid, x))  # (n_b, L)

@@ -1,10 +1,15 @@
 """Short-time Fourier transform over the full discrete phase space.
 
 The phase-space grid is the full L x L torus: time shifts at every grid
-point x_n and frequencies at every dual point xi_k.  With the cell weight
-delta * (1/T) the discrete analysis map is exactly isometric and the
-weak-sense inversion formula reconstructs exactly, so the continuum
-identities hold at machine precision rather than discretization accuracy.
+point x_n and frequencies at every dual point xi_k.  That is the Gabor
+system of the finest lattice, a = b = 1 (alpha = delta, beta = 1/T), so the
+transform and its inverse are :func:`frames.analysis` and
+:func:`frames.synthesis` on that lattice; this module only recenters the
+coefficients, rolling both axes by L/2 so that row n is x_n and column k is
+xi_k.  With the cell weight delta * (1/T) the discrete analysis map is
+exactly isometric and the weak-sense inversion formula reconstructs
+exactly, so the continuum identities hold at machine precision rather than
+discretization accuracy.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridMismatchError, SampleGrid, Signal, inner
+from .frames import analysis, synthesis
+from .lattices import Lattice
 
 __all__ = ["PhaseSpaceField", "stft", "stft_energy", "stft_invert", "NearOrthogonalPairError"]
 
@@ -44,40 +51,11 @@ class PhaseSpaceField:
         return self.grid.delta / self.grid.T
 
 
-def _rolled_window_matrix(g: np.ndarray) -> np.ndarray:
-    """Matrix W[n, j] = g[(j - (n - L/2)) mod L], row n shifted to x_n."""
-    L = g.shape[0]
-    j0 = L // 2
-    idx = (np.arange(L)[None, :] - (np.arange(L)[:, None] - j0)) % L
-    return g[idx]
-
-
-def _fourier_rows(U: np.ndarray, grid: SampleGrid) -> np.ndarray:
-    """Apply the centered unitary DFT of core.fourier along each row."""
-    L = grid.L
-    j0 = grid.origin
-    F = np.fft.fft(U, axis=1)
-    sign = np.where((np.arange(L) - j0) % 2 == 0, 1.0, -1.0)
-    return grid.delta * sign[None, :] * np.roll(F, j0, axis=1)
-
-
-def _inverse_fourier_rows(V: np.ndarray, grid: SampleGrid) -> np.ndarray:
-    """Rows -> sum_k V[n,k] exp(+2 pi i x_j xi_k), without any 1/T weight."""
-    L = grid.L
-    j0 = grid.origin
-    sign_k = np.where(np.arange(L) % 2 == 0, 1.0, -1.0)
-    u = np.fft.ifft(V * sign_k[None, :], axis=1)
-    sign_j = np.where((np.arange(L) - j0) % 2 == 0, 1.0, -1.0)
-    # core.inverse_fourier carries 1/T; here we return the bare sum, i.e. T x it
-    return L * sign_j[None, :] * u
-
-
 def stft(f: Signal, g: Signal) -> PhaseSpaceField:
-    """Full phase-space STFT, one FFT per time shift (O(L^2 log L))."""
-    if f.grid != g.grid:
-        raise GridMismatchError("f and g must share a grid")
-    U = f.values[None, :] * np.conj(_rolled_window_matrix(g.values))
-    return PhaseSpaceField(f.grid, _fourier_rows(U, f.grid))
+    """Full phase-space STFT: lattice analysis on a = b = 1, centered (O(L^2 log L))."""
+    j0 = f.grid.origin
+    c = analysis(g, Lattice(1, 1, f.grid), f)
+    return PhaseSpaceField(f.grid, np.roll(c, (j0, j0), axis=(0, 1)))
 
 
 def stft_energy(V: PhaseSpaceField) -> float:
@@ -105,16 +83,8 @@ def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal, min_overlap: float = 1
             "weight in the inversion formula diverges for near-orthogonal pairs"
         )
     grid = V.grid
-    L = grid.L
     j0 = grid.origin
-    # A[n, j] = sum_k V[n,k] e^{2 pi i xi_k x_j}
-    A = _inverse_fourier_rows(V.values, grid)
-    # r[j] = sum_n A[n, j] h[(j - (n - j0)) mod L]: shifted diagonal of a
-    # circular convolution along the n axis
-    Ahat = np.fft.fft(A, axis=0)
-    hhat = np.fft.fft(h.values)
-    C = np.fft.ifft(Ahat * hhat[:, None], axis=0)
-    cols = np.arange(L)
-    r = C[(cols + j0) % L, cols]
+    c_lat = np.roll(V.values, (-j0, -j0), axis=(0, 1))
+    r = synthesis(h, Lattice(1, 1, grid), c_lat).values
     cell = grid.delta / grid.T
     return Signal(grid, (cell / c) * r)

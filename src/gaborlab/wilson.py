@@ -63,15 +63,9 @@ class WilsonSystem:
         return self.atoms.shape[0]
 
 
-def _wilson_lattice(beta: float, grid: SampleGrid, convention: str) -> Lattice:
-    if convention == "time_step":
-        a_f = beta / grid.delta
-        b_f = 1.0 * grid.T
-    elif convention == "freq_step":
-        a_f = 1.0 / grid.delta
-        b_f = beta * grid.T
-    else:
-        raise ValueError(f"unknown lattice convention {convention!r}")
+def _wilson_lattice(beta: float, grid: SampleGrid) -> Lattice:
+    a_f = beta / grid.delta
+    b_f = grid.T
     a, b = round(a_f), round(b_f)
     if abs(a_f - a) > 1e-9 or abs(b_f - b) > 1e-9:
         raise ValueError(
@@ -84,22 +78,20 @@ def make_wilson_window(
     g: Signal | WindowSpec,
     beta: float,
     grid: SampleGrid | None = None,
-    convention: str = "time_step",
     wrap_tol: float = 1e-12,
 ) -> Signal:
     """Unit-norm canonical tight window of the Gabor system behind a Wilson basis.
 
     The source lattice has time step beta and frequency step 1 (redundancy
-    1/beta); ``convention="freq_step"`` swaps the two roles for comparison.
-    The returned window is normalized to unit norm, so its Gabor system is
-    tight with frame bound equal to the redundancy, and the beta-scaled
-    window generates a Parseval frame.
+    1/beta).  The returned window is normalized to unit norm, so its Gabor
+    system is tight with frame bound equal to the redundancy, and the
+    beta-scaled window generates a Parseval frame.
     """
     if isinstance(g, WindowSpec):
         if grid is None:
             raise ValueError("grid is required when passing a WindowSpec")
         g = sample_window(g, grid, wrap_tol=wrap_tol)
-    lat = _wilson_lattice(beta, g.grid, convention)
+    lat = _wilson_lattice(beta, g.grid)
     tight = canonical_tight(g, lat)
     return tight.unit()
 

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gaborlab import cli
@@ -142,3 +143,14 @@ def test_config_value_outside_choices_exits_2(invoke, tmp_path):
                           "--outdir", str(tmp_path))
     assert code == 2
     assert "classical" in json.loads(out)["error"]["message"]
+
+
+def test_linalg_error_exits_3(invoke, monkeypatch):
+    # LinAlgError subclasses ValueError; it is still a numerical failure
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "frame_bounds", singular)
+    code, out, _ = invoke("framebounds", *SMALL, "--alpha", "1", "--beta", "0.5", "--no-cache")
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "numerical"

@@ -247,3 +247,63 @@ def test_frame_bounds_refinement_reports_drift():
     assert refined.lattice.alpha == pytest.approx(lat.alpha)
     assert refined.lattice.beta == pytest.approx(lat.beta)
     assert drift < 1e-10  # gaussian bounds are already converged
+
+
+@pytest.mark.parametrize("a", [8, 16, 32, 64])
+@pytest.mark.parametrize("b", [2, 4, 8, 16])
+def test_painless_bounds_closed_form(grid, a, b):
+    # bspline:2 lives on (-1, 1), 64 samples; with 1/beta >= 2 (P >= 64) the
+    # frame operator is diagonal, (1/beta) sum_n g[i + n a]^2
+    g = sample_window(WindowSpec("bspline", 2), grid)
+    lat = Lattice(a, b, grid)
+    assert 1 / lat.beta >= 2
+    diag = (1 / lat.beta) * np.sum(np.abs(g.values.reshape(-1, a)) ** 2, axis=0)
+    rep = frame_bounds(g, lat)
+    assert rep.method == "block-dense"
+    assert rep.A == pytest.approx(diag.min(), abs=1e-13)
+    assert rep.B == pytest.approx(diag.max(), abs=1e-13)
+    if (lat.alpha, lat.beta) == (1.0, 0.5):
+        assert rep.A == pytest.approx(1.0, abs=1e-13)
+        assert rep.B == pytest.approx(2.0, abs=1e-13)
+
+
+def test_wide_block_goes_to_lanczos():
+    # b = L = 4096 > DENSE_BLOCK_MAX: one block, rank 64 (one frequency)
+    grid = SampleGrid(4096, 1 / 64)
+    g = sample_window(WindowSpec("gaussian"), grid)
+    rep = frame_bounds(g, Lattice(64, 4096, grid))
+    assert rep.method == "iterative-lanczos"
+    assert rep.A <= 1e-12
+    # the nonzero spectrum is that of the Gram matrix delta <T_na g, T_ma g>
+    shifted = np.stack([np.roll(g.values, 64 * n) for n in range(64)])
+    gram = grid.delta * (np.conj(shifted) @ shifted.T)
+    assert rep.B == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-8)
+
+
+def test_lanczos_matches_dense(monkeypatch):
+    from gaborlab import frames
+
+    g = sample_window(WindowSpec("gaussian"), SMALL)
+    lat = Lattice(8, 8, SMALL)
+    dense = frame_bounds(g, lat)
+    monkeypatch.setattr(frames, "DENSE_BLOCK_MAX", 0)
+    lanczos = frame_bounds(g, lat)
+    assert (dense.method, lanczos.method) == ("block-dense", "iterative-lanczos")
+    assert lanczos.A == pytest.approx(dense.A, rel=1e-10)
+    assert lanczos.B == pytest.approx(dense.B, rel=1e-10)
+
+
+@pytest.mark.parametrize("solve", [canonical_dual, canonical_tight])
+def test_window_solve_builds_blocks_once(monkeypatch, grid, gaussian, solve):
+    from gaborlab import frames
+
+    calls = []
+    build = frames.frame_operator_blocks
+    monkeypatch.setattr(
+        frames, "frame_operator_blocks", lambda *args: calls.append(1) or build(*args)
+    )
+    solve(gaussian, Lattice(32, 16, grid))
+    assert len(calls) == 1
+    with pytest.raises(NotAFrameError):
+        solve(gaussian, Lattice(64, 32, grid))  # alpha * beta = 2
+    assert len(calls) == 2

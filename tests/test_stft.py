@@ -5,6 +5,7 @@ import pytest
 
 from gaborlab import (
     NearOrthogonalPairError,
+    PhaseSpaceField,
     SampleGrid,
     Signal,
     WindowSpec,
@@ -124,3 +125,19 @@ def test_indicator_window_inversion_relaxed():
     f = random_signal(grid, rng)
     rec = stft_invert(stft(f, g), g, g)
     assert Signal(grid, rec.values - f.values).norm / f.norm < 1e-3
+
+
+def test_inversion_of_arbitrary_field():
+    # V need not be an STFT: the inverse is the weighted sum of shifted atoms
+    grid = SampleGrid(32, 1 / 4)
+    g = sample_window(WindowSpec("gaussian"), grid).unit()
+    h = sample_window(WindowSpec("sech"), grid, wrap_tol=1.0)
+    rng = np.random.default_rng(11)
+    V = PhaseSpaceField(grid, rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    x, xi = grid.x(), grid.xi()
+    direct = sum(
+        V.values[n, k] * tf_shift(h, (x[n], xi[k])).values for n in range(32) for k in range(32)
+    )
+    direct = (grid.delta / grid.T / inner(h, g)) * direct
+    rec = stft_invert(V, g, h)
+    assert np.max(np.abs(rec.values - direct)) < 1e-12
