@@ -41,7 +41,6 @@ from .frames import (
     canonical_tight,
     frame_apply,
     frame_bounds,
-    frame_bounds_refinement,
     frame_matrix,
     frame_operator_blocks,
     gabor_atom,

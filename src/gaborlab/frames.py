@@ -2,9 +2,19 @@
 
 The frame operator of a separable lattice couples only grid indices that
 agree modulo P = L/b, so the full L x L operator splits into P Hermitian
-blocks of size b x b.  All spectral work (bounds, inverse, square root)
-happens per block, which keeps frame-set scans fast and exact; each dual
-or tight window builds the blocks once.
+blocks of size b x b; block r acts on the indices {r + s P : s < b}.  The
+entries come from the a x b Walnut table
+
+    W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]),  i < a, d < b,
+
+as S[i, i + d P] = delta * P * W[i mod a, d], which costs O(L b) to build.
+Since an entry depends on its row only modulo a, blocks r and r + a are
+equal: :func:`frame_operator_blocks` returns the min(a, P) distinct blocks,
+and block r of S is ``blocks[r % a]``.  Block (r + P) mod a is block r with
+its rows and columns cyclically shifted by one, so all spectra are among
+those of the first gcd(a, P) blocks; bounds and the frame check solve only
+those.  All spectral work (bounds, inverse, square root) happens per block,
+and each dual or tight window builds the blocks once.
 
 :func:`analysis` and :func:`synthesis` are the one time-frequency core of
 the package: the full phase-space STFT of :mod:`gaborlab.stft` is the
@@ -14,6 +24,7 @@ finest lattice, a = b = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -124,17 +135,32 @@ def frame_apply(g: Signal, lat: Lattice, f: Signal) -> Signal:
     return synthesis(g, lat, analysis(g, lat, f))
 
 
-def frame_operator_blocks(g: Signal, lat: Lattice) -> np.ndarray:
-    """The P Hermitian b x b blocks of the frame operator.
+def _walnut_table(g: np.ndarray, lat: Lattice) -> np.ndarray:
+    """W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]) for i < a, d < b."""
+    a, P = lat.a, lat.n_freq
+    gc = np.conj(g)
+    W = np.empty((a, lat.b), dtype=np.complex128)
+    for d in range(lat.b):  # one O(L) pass per column, no (b, L) temporary
+        W[:, d] = (g * np.roll(gc, -d * P)).reshape(lat.n_time, a).sum(axis=0)
+    return W
 
-    Block r holds S restricted to indices {r + s P : s = 0..b-1}:
-    S[i, j] = delta * P * [i = j mod P] * sum_n g[i - n a] conj(g[j - n a]).
+
+def frame_operator_blocks(g: Signal, lat: Lattice) -> np.ndarray:
+    """The min(a, P) distinct Hermitian b x b blocks of the frame operator.
+
+    Block r of S, for r < P, is ``blocks[r % a]``; it holds S restricted to
+    the indices {r + s P : s = 0..b-1}, with entries
+    S[r + s P, r + t P] = delta * P * W[(r + s P) mod a, (t - s) mod b]
+    from the Walnut table W of the module docstring.
     """
     _check(g, lat)
-    P = lat.n_freq
-    G = _rolled_windows(g.values, lat).reshape(lat.n_time, lat.b, P)  # j = s P + r
-    G = np.ascontiguousarray(G.transpose(0, 2, 1))  # (n_time, P, b)
-    return lat.grid.delta * P * np.einsum("nrs,nrt->rst", G, np.conj(G))
+    a, b, P = lat.a, lat.b, lat.n_freq
+    W = lat.grid.delta * P * _walnut_table(g.values, lat)
+    # rolled[i, k, t] = W[i, (k + t) mod b]; row s of a block needs k = -s mod b
+    rolled = np.lib.stride_tricks.sliding_window_view(np.concatenate([W, W], axis=1), b, axis=1)
+    s = np.arange(b)
+    rows = (np.arange(min(a, P))[:, None] + s[None, :] * P) % a
+    return rolled[rows, (-s % b)[None, :]]
 
 
 def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
@@ -144,12 +170,12 @@ def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
     S = np.zeros((L, L), dtype=np.complex128)
     for r in range(P):
         ix = np.arange(r, L, P)
-        S[np.ix_(ix, ix)] = blocks[r]
+        S[np.ix_(ix, ix)] = blocks[r % lat.a]
     return S
 
 
 def _frame_report(eigs: np.ndarray, lat: Lattice) -> FrameReport:
-    """Bounds from the (P, b) ascending eigenvalues of the frame-operator blocks."""
+    """Bounds from the ascending eigenvalues of frame-operator blocks, one row per block."""
     A = float(eigs[:, 0].min())
     B = float(eigs[:, -1].max())
     return FrameReport(A=max(A, 0.0), B=B, lattice=lat, method="block-dense")
@@ -166,7 +192,8 @@ def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
     """
     _check(g, lat)
     if lat.b <= DENSE_BLOCK_MAX:
-        return _frame_report(np.linalg.eigvalsh(frame_operator_blocks(g, lat)), lat)
+        blocks = frame_operator_blocks(g, lat)[: gcd(lat.a, lat.n_freq)]
+        return _frame_report(np.linalg.eigvalsh(blocks), lat)
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     L = lat.grid.L
@@ -197,9 +224,9 @@ def _require_frame(eigs: np.ndarray, lat: Lattice) -> None:
 def canonical_dual(g: Signal, lat: Lattice) -> Signal:
     """Dual window solving S g_dual = g, blockwise."""
     blocks = frame_operator_blocks(g, lat)
-    _require_frame(np.linalg.eigvalsh(blocks), lat)
+    _require_frame(np.linalg.eigvalsh(blocks[: gcd(lat.a, lat.n_freq)]), lat)
     rhs = _blockwise(g.values, lat)
-    sol = np.linalg.solve(blocks, rhs[..., None])[..., 0]
+    sol = np.linalg.solve(blocks[np.arange(lat.n_freq) % lat.a], rhs[..., None])[..., 0]
     return Signal(lat.grid, sol.T.reshape(-1))
 
 
@@ -207,31 +234,13 @@ def canonical_tight(g: Signal, lat: Lattice) -> Signal:
     """Tight window S^{-1/2} g via blockwise Hermitian eigendecomposition."""
     w, U = np.linalg.eigh(frame_operator_blocks(g, lat))
     _require_frame(w, lat)
+    r = np.arange(lat.n_freq) % lat.a
+    w, U = w[r], U[r]
     gb = _blockwise(g.values, lat)
     coeff = np.einsum("rbs,rb->rs", np.conj(U), gb)  # U^H g per block
     coeff = coeff / np.sqrt(w)
     sol = np.einsum("rsb,rb->rs", U, coeff)
     return Signal(lat.grid, sol.T.reshape(-1))
-
-
-def frame_bounds_refinement(window_spec, lat: Lattice, factor: int = 2):
-    """Frame bounds at the current grid and at a ``factor``-refined grid.
-
-    Refinement keeps the period T and the physical lattice (alpha, beta)
-    while shrinking delta, so the drift between the two reports estimates
-    how far the finite-model bounds sit from their continuum values.
-    Returns (report, refined_report, relative_drift_of_A).
-    """
-    from .core import SampleGrid
-    from .windows import sample_window
-
-    grid = lat.grid
-    fine = SampleGrid(grid.L * factor, grid.delta / factor)
-    fine_lat = Lattice(lat.a * factor, lat.b, fine)
-    coarse = frame_bounds(sample_window(window_spec, grid), lat)
-    refined = frame_bounds(sample_window(window_spec, fine), fine_lat)
-    drift = abs(refined.A - coarse.A) / coarse.A if coarse.A > 0 else np.inf
-    return coarse, refined, drift
 
 
 @dataclass(frozen=True)

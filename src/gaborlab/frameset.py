@@ -1,9 +1,10 @@
 """Frame-set scans over a grid of (alpha, beta) targets.
 
-Each cell snaps its target to the nearest representable lattice, computes
-frame bounds on the periodic model, and (for the order-2 B-spline window)
-attaches the analytic region label.  Cells are independent; the scan may run
-on a thread pool and results are written by index, so output is
+Each cell snaps its target to the nearest representable lattice and (for the
+order-2 B-spline window) carries the analytic region label.  Frame bounds on
+the periodic model are computed once per distinct snapped lattice, since many
+cells of a fine map snap to the same one.  Those solves are independent and
+may run on a thread pool; results are written by index, so output is
 deterministic regardless of schedule.
 """
 
@@ -12,13 +13,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .core import SampleGrid, Signal
 from .duality import RegionLabel, classify_point_g2
 from .frames import frame_bounds
-from .lattices import SnapError, make_lattice
+from .lattices import Lattice, SnapError, make_lattice
 from .windows import WindowSpec, sample_window
 
 __all__ = ["FrameSetMap", "scan_frame_set", "RED_LINE_A_THRESHOLD"]
@@ -69,8 +71,9 @@ def scan_frame_set(
 ) -> FrameSetMap:
     """Scan frame bounds over a resolution x resolution grid of targets.
 
-    ``threads`` asks for a pool; it never gets more workers than there are
-    cells or CPUs.
+    Frame bounds are solved once per distinct snapped lattice.  ``threads``
+    asks for a pool for those solves; it never gets more workers than there
+    are cells or CPUs.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -87,29 +90,31 @@ def scan_frame_set(
     B = np.full((resolution, resolution), np.nan)
     labels = np.full((resolution, resolution), "", dtype=object)
 
-    def run_cell(ij: tuple[int, int]) -> None:
-        i, j = ij  # i indexes beta, j indexes alpha
-        if is_g2:
-            labels[i, j] = classify_point_g2(alphas[j], betas[i]).value
-        try:
-            lat, _, _ = make_lattice(grid, alphas[j], betas[i], snap_tol=snap_tol)
-        except SnapError:
-            labels[i, j] = "unsnappable"
-            return
-        rep = frame_bounds(g, lat)
-        a_snap[i, j] = lat.alpha
-        b_snap[i, j] = lat.beta
-        A[i, j] = rep.A
-        B[i, j] = rep.B
+    cells: dict[Lattice, list[tuple[int, int]]] = {}  # i indexes beta, j alpha
+    for i in range(resolution):
+        for j in range(resolution):
+            if is_g2:
+                labels[i, j] = classify_point_g2(alphas[j], betas[i]).value
+            try:
+                lat, _, _ = make_lattice(grid, alphas[j], betas[i], snap_tol=snap_tol)
+            except SnapError:
+                labels[i, j] = "unsnappable"
+                continue
+            cells.setdefault(lat, []).append((i, j))
 
-    cells = [(i, j) for i in range(resolution) for j in range(resolution)]
-    workers = min(threads, len(cells), os.cpu_count() or 1)
+    solve = partial(frame_bounds, g)
+    workers = min(threads, resolution * resolution, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run_cell, cells))
+            reports = list(ex.map(solve, cells))
     else:
-        for c in cells:
-            run_cell(c)
+        reports = list(map(solve, cells))
+    for (lat, ij), rep in zip(cells.items(), reports):
+        ix = tuple(np.array(ij).T)
+        a_snap[ix] = lat.alpha
+        b_snap[ix] = lat.beta
+        A[ix] = rep.A
+        B[ix] = rep.B
 
     return FrameSetMap(
         window=spec,

@@ -238,15 +238,14 @@ def test_frame_operator_commutes_blockwise(n, k):
     assert abs(inner(sa, atom).imag) < 1e-10
 
 
-def test_frame_bounds_refinement_reports_drift():
-    from gaborlab import frame_bounds_refinement
-
-    grid = SampleGrid(512, 1 / 16)
-    lat = Lattice(16, 8, grid)
-    coarse, refined, drift = frame_bounds_refinement(WindowSpec("gaussian"), lat)
-    assert refined.lattice.alpha == pytest.approx(lat.alpha)
-    assert refined.lattice.beta == pytest.approx(lat.beta)
-    assert drift < 1e-10  # gaussian bounds are already converged
+def test_gaussian_bounds_converged_under_grid_refinement():
+    # halving delta at fixed period and (alpha, beta) leaves gaussian bounds unchanged
+    grid, fine = SampleGrid(512, 1 / 16), SampleGrid(1024, 1 / 32)
+    lat, fine_lat = Lattice(16, 8, grid), Lattice(32, 8, fine)
+    assert (fine_lat.alpha, fine_lat.beta) == (lat.alpha, lat.beta)
+    coarse = frame_bounds(sample_window(WindowSpec("gaussian"), grid), lat)
+    refined = frame_bounds(sample_window(WindowSpec("gaussian"), fine), fine_lat)
+    assert abs(refined.A - coarse.A) / coarse.A < 1e-10
 
 
 @pytest.mark.parametrize("a", [8, 16, 32, 64])
@@ -307,3 +306,61 @@ def test_window_solve_builds_blocks_once(monkeypatch, grid, gaussian, solve):
     with pytest.raises(NotAFrameError):
         solve(gaussian, Lattice(64, 32, grid))  # alpha * beta = 2
     assert len(calls) == 2
+
+
+# Lattices with a < P = L/b, so the blocks repeat (block r of S is
+# blocks[r % a]).  In the first and the last, a does not divide P and only
+# gcd(a, P) < a blocks are eigensolved for the bounds.
+REDUCED = [
+    (SampleGrid(120, 1 / 10), 12, 4),  # P = 30, gcd = 6
+    (SampleGrid(120, 1 / 10), 8, 3),  # P = 40
+    (SampleGrid(120, 1 / 10), 15, 2),  # P = 60
+    (SampleGrid(360, 1 / 12), 24, 10),  # P = 36, gcd = 12
+]
+
+
+@pytest.mark.parametrize("spec", [WindowSpec("gaussian"), WindowSpec("bspline", 3)])
+@pytest.mark.parametrize("grid_, a, b", REDUCED)
+def test_reduced_blocks_match_atom_sum(grid_, a, b, spec):
+    from gaborlab import frame_operator_blocks
+
+    lat = Lattice(a, b, grid_)
+    g = sample_window(spec, grid_)
+    atoms = np.array(
+        [gabor_atom(g, lat, n, k).values for n in range(lat.n_time) for k in range(lat.n_freq)]
+    )
+    S_direct = grid_.delta * (atoms.T @ np.conj(atoms))
+    assert np.max(np.abs(frame_matrix(g, lat) - S_direct)) < 1e-12
+    eigs = np.linalg.eigvalsh(S_direct)
+    rep = frame_bounds(g, lat)
+    assert abs(rep.A - max(eigs[0], 0.0)) < 1e-13 * rep.B
+    assert abs(rep.B - eigs[-1]) < 1e-13 * rep.B
+    assert len(frame_operator_blocks(g, lat)) == min(a, lat.n_freq)
+
+
+@pytest.mark.parametrize("spec", [WindowSpec("gaussian"), WindowSpec("bspline", 3)])
+@pytest.mark.parametrize("grid_, a, b", REDUCED)
+def test_reduced_blocks_tight_and_dual(grid_, a, b, spec):
+    lat = Lattice(a, b, grid_)
+    assert a < lat.n_freq
+    g = sample_window(spec, grid_)
+    rep = frame_bounds(canonical_tight(g, lat), lat)
+    assert abs(rep.A - 1.0) < 1e-10 and abs(rep.B - 1.0) < 1e-10
+    expected = np.linalg.solve(frame_matrix(g, lat), g.values)
+    gd = canonical_dual(g, lat).values
+    assert np.linalg.norm(gd - expected) < 1e-10 * np.linalg.norm(expected)
+
+
+def test_frame_check_sees_every_block_spectrum():
+    # g covers the sample residues 0, 1, 2 mod a = 4 but never 3.  With
+    # gcd(a, P) = 2, block 0 (residues 0, 2) is well conditioned and block 1
+    # (residues 1, 3) is singular, so the frame check must look past block 0.
+    grid_ = SampleGrid(120, 1 / 10)
+    v = np.zeros(grid_.L)
+    v[:3] = 1.0
+    g = Signal(grid_, v)
+    lat = Lattice(4, 4, grid_)
+    assert frame_bounds(g, lat).A < 1e-12
+    for solve in (canonical_dual, canonical_tight):
+        with pytest.raises(NotAFrameError):
+            solve(g, lat)

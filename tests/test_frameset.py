@@ -132,3 +132,45 @@ def test_scanner_classifier_agreement_at_snapped_points():
             if numeric != expect:
                 mismatches += 1
     assert mismatches == 0
+
+
+def test_scan_solves_each_lattice_once(monkeypatch):
+    """One frame_bounds call per distinct snapped lattice, same bounds as per cell."""
+    import gaborlab.frameset as frameset
+    from gaborlab import Lattice, frame_bounds, sample_window
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    solved = []
+
+    def counting(g, lat):
+        solved.append((lat.a, lat.b))
+        return frame_bounds(g, lat)
+
+    monkeypatch.setattr(frameset, "frame_bounds", counting)
+    monkeypatch.setattr(frameset, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(frameset.os, "cpu_count", lambda: 2)
+    spec = WindowSpec("gaussian")
+    g = sample_window(spec, GRID)
+    for threads in (1, 2):
+        solved.clear()
+        m = scan_frame_set(spec, (0, 2), (0, 2), 8, GRID, threads=threads)
+        a = np.rint(m.alpha_snapped / GRID.delta).astype(int)
+        b = np.rint(m.beta_snapped * GRID.T).astype(int)
+        assert sorted(solved) == sorted(set(zip(a.ravel(), b.ravel())))
+        assert len(solved) < m.A.size
+        for i in range(8):
+            for j in range(8):
+                rep = frame_bounds(g, Lattice(a[i, j], b[i, j], GRID))
+                assert (m.A[i, j], m.B[i, j]) == (rep.A, rep.B)
