@@ -8,10 +8,16 @@ recomputation.  ``source_fingerprint`` hashes the package sources, so a
 version that includes it changes with every code edit.  Writes go through a
 temp file and an atomic rename, so concurrent identical invocations leave
 exactly one durable entry and every caller sees the same bytes.
+
+The cache is bounded by total entry bytes: a hit refreshes its entry's
+mtime, and after each write the least recently used entries are removed
+until the total fits ``MAX_CACHE_BYTES``.  The entry just written is kept
+even if it alone is larger.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -26,6 +32,7 @@ from .serialize import stable_json
 __all__ = ["cache_key", "cache_get_or_compute", "default_cache_dir", "source_fingerprint"]
 
 ENV_CACHE_DIR = "GABORLAB_CACHE_DIR"
+MAX_CACHE_BYTES = 512 * 2**20  # total size of the entries in one cache directory
 
 
 def default_cache_dir() -> str:
@@ -51,14 +58,40 @@ def cache_key(command: str, semantic: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _evict(cache_dir: str, max_bytes: int, keep: str) -> None:
+    """Remove least recently used entries, never ``keep``, until the total fits ``max_bytes``."""
+    entries = []
+    with os.scandir(cache_dir) as it:
+        for e in it:
+            if e.name.endswith(".json"):
+                try:
+                    st = e.stat()
+                except OSError:  # removed by a concurrent caller
+                    continue
+                entries.append((st.st_mtime_ns, st.st_size, e.path))
+    total = sum(size for _, size, _ in entries)
+    for _, size, path in sorted(entries):
+        if total <= max_bytes:
+            break
+        if path == keep:
+            continue
+        with contextlib.suppress(FileNotFoundError):  # removed by a concurrent caller
+            os.unlink(path)
+        total -= size
+
+
 def cache_get_or_compute(
     key: str,
     thunk: Callable[[], str],
     version: str,
     cache_dir: str | None = None,
     log=None,
+    max_bytes: int = MAX_CACHE_BYTES,
 ) -> tuple[str, bool]:
-    """Return (payload, hit).  ``thunk`` computes the payload string on miss."""
+    """Return (payload, hit).  ``thunk`` computes the payload string on miss.
+
+    ``max_bytes`` bounds the total size of the entries in ``cache_dir``.
+    """
     cache_dir = cache_dir or default_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
@@ -69,7 +102,10 @@ def cache_get_or_compute(
             with open(path, encoding="utf-8", newline="") as fh:
                 header = json.loads(fh.readline())
                 if isinstance(header, dict) and header.get("version") == version:
-                    return fh.read(), True
+                    payload = fh.read()
+                    with contextlib.suppress(OSError):  # a read-only cache still serves hits
+                        os.utime(path)  # most recently used
+                    return payload, True
             log(f"cache: version mismatch for {key[:12]}, recomputing")
         except (ValueError, OSError) as exc:
             log(f"cache: corrupt entry {key[:12]} ({exc}), recomputing")
@@ -84,4 +120,5 @@ def cache_get_or_compute(
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _evict(cache_dir, max_bytes, keep=path)
     return payload, False

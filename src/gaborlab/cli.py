@@ -256,6 +256,8 @@ def _cmd_scan(cfg: RunConfig, p):
 
 
 def _cmd_wilson(cfg: RunConfig, p):
+    if p.variant == "classical" and p.beta != 0.5:
+        raise ConfigError(f"the classical Wilson variant has beta = 0.5, got {p.beta:g}")
     grid = SampleGrid(cfg.L, cfg.delta)
     w = make_wilson_window(parse_window(cfg.window), p.beta, grid, wrap_tol=cfg.wrap_tol)
     if p.variant == "classical":
@@ -333,9 +335,9 @@ def _cmd_stft(cfg: RunConfig, p):
     sig_spec = p.signal_window or cfg.window
     f = _sample(cfg, sig_spec)
     V = stft(f, g)
+    rec = stft_invert(V, g, g)  # before |V| is held: the inversion is the memory peak
     energy = stft_energy(V)
-    rec = stft_invert(V, g, g)
-    mag = np.abs(V.values)
+    mag = V.magnitude
     result = {
         "signal_window": sig_spec,
         "energy": energy,

@@ -93,11 +93,18 @@ def gabor_atom(g: Signal, lat: Lattice, n: int, k: int) -> Signal:
 
 
 def _rolled_windows(g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Matrix G[n, j] = g[(j - n a) mod L] for n = 0..L/a-1."""
+    """Read-only view G[n, j] = g[(j - n a) mod L] for n = 0..L/a-1.
+
+    Row n of G starts n a samples before the second copy of ``[g, g]``, so
+    G is a strided view with row stride -a: no (L/a) x L index array and no
+    gather.
+    """
     L = lat.grid.L
-    shifts = (np.arange(lat.n_time) * lat.a)[:, None]
-    idx = (np.arange(L)[None, :] - shifts) % L
-    return g[idx]
+    gg = np.concatenate([g, g])
+    step = gg.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        gg[L:], shape=(lat.n_time, L), strides=(-lat.a * step, step), writeable=False
+    )
 
 
 def analysis(g: Signal, lat: Lattice, f: Signal) -> np.ndarray:
@@ -105,13 +112,14 @@ def analysis(g: Signal, lat: Lattice, f: Signal) -> np.ndarray:
     _check(g, lat)
     if f.grid != lat.grid:
         raise GridMismatchError("signal grid does not match lattice grid")
-    L, b = lat.grid.L, lat.b
-    P = lat.n_freq  # L / b
-    U = f.values[None, :] * np.conj(_rolled_windows(g.values, lat))
-    folded = U.reshape(lat.n_time, b, P).sum(axis=1)
+    b, P = lat.b, lat.n_freq  # P = L / b
+    U = f.values[None, :] * _rolled_windows(np.conj(g.values), lat)
+    folded = U if b == 1 else U.reshape(lat.n_time, b, P).sum(axis=1)
     k = np.arange(P)
     sign = np.where((k * b) % 2 == 0, 1.0, -1.0)  # exp(2 pi i k j0 / P)
-    return lat.grid.delta * sign[None, :] * np.fft.fft(folded, axis=1)
+    c = np.fft.fft(folded, axis=1)
+    c *= lat.grid.delta * sign
+    return c
 
 
 def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
@@ -124,7 +132,8 @@ def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
     P = lat.n_freq
     k = np.arange(P)
     sign = np.where((k * b) % 2 == 0, 1.0, -1.0)
-    w = P * np.fft.ifft(c * sign[None, :], axis=1)  # w[n, r], period P in j
+    w = np.fft.ifft(c * sign[None, :], axis=1)  # w[n, r], period P in j
+    w *= P
     G = _rolled_windows(g.values, lat).reshape(lat.n_time, b, P)  # j = s P + r
     out = np.sum(w[:, None, :] * G, axis=0)
     return Signal(lat.grid, out.reshape(L))

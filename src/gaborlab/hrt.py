@@ -384,6 +384,8 @@ def extension_field(
     """
     if len(base) != 3:
         raise ValueError("base configuration must have exactly three points")
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
     base, record = _ensure_normal_base(base)
     g = g.unit()
     fam = _shifted_family(g, base)

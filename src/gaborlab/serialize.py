@@ -7,6 +7,7 @@ runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any
 
@@ -92,14 +93,16 @@ def framemap_csv(fmap) -> str:
 
 
 def write_pgm_bytes(values: np.ndarray, ref: float) -> bytes:
-    """8-bit binary PGM (P5): pixel = clamp(255 * min(1, value/ref)).
+    """8-bit binary PGM (P5): pixel = rint(255 * clip(value/ref, 0, 1)).
 
     Rows are written top to bottom as given; NaN maps to 0.
     """
-    v = np.asarray(values, dtype=float)
     with np.errstate(invalid="ignore"):
-        scaled = np.where(np.isnan(v), 0.0, np.clip(v / ref, 0.0, 1.0))
-    pix = np.clip(np.rint(255.0 * scaled), 0, 255).astype(np.uint8)
+        scaled = np.divide(values, ref, dtype=float)
+        np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled[np.isnan(scaled)] = 0.0
+    scaled *= 255.0
+    pix = np.rint(scaled, out=scaled).astype(np.uint8)
     h, w = pix.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     return header + pix.tobytes()
@@ -127,9 +130,22 @@ def field_pgm(field, ref: float = 1.0) -> bytes:
     return write_pgm_bytes(field.F[::-1, :], ref)
 
 
+@functools.lru_cache(maxsize=8)
+def _signal_rows(grid, im_text: bool) -> str:
+    """One %-format template per grid: the index and x columns filled in, re and im open."""
+    im = "%s" if im_text else "%.17g"
+    return "".join(f"{j},{x:.17g},%.17g,{im}\n" for j, x in enumerate(grid.x().tolist()))
+
+
 def signal_csv(sig) -> str:
-    """Signal samples as CSV rows (index, x, re, im)."""
-    lines = ["index,x,re,im"]
-    rows = zip(sig.grid.x().tolist(), np.real(sig.values).tolist(), np.imag(sig.values).tolist())
-    lines.extend(f"{j},{x:.17g},{re:.17g},{im:.17g}" for j, (x, re, im) in enumerate(rows))
-    return "\n".join(lines) + "\n"
+    """Signal samples as CSV rows (index, x, re, im).
+
+    An imaginary part that is all +-0 (real signals) is written as the
+    strings "0" and "-0" instead of formatting each float.
+    """
+    v = sig.values
+    flat = [None] * (2 * v.size)
+    flat[0::2] = v.real.tolist()
+    im_text = not v.imag.any()
+    flat[1::2] = np.where(np.signbit(v.imag), "-0", "0").tolist() if im_text else v.imag.tolist()
+    return "index,x,re,im\n" + _signal_rows(sig.grid, im_text) % tuple(flat)

@@ -15,6 +15,7 @@ discretization accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,17 +46,33 @@ class PhaseSpaceField:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, grid: SampleGrid, values: np.ndarray) -> "PhaseSpaceField":
+        """Wrap an (L, L) complex array that nothing else holds, without the copy."""
+        V = object.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(V, "grid", grid)
+        object.__setattr__(V, "values", values)
+        return V
+
     @property
     def cell_area(self) -> float:
         """Phase-space cell delta * (1/T) = 1/L."""
         return self.grid.delta / self.grid.T
+
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """Read-only |V|, computed once for the energy and any image of it."""
+        mag = np.abs(self.values)
+        mag.flags.writeable = False
+        return mag
 
 
 def stft(f: Signal, g: Signal) -> PhaseSpaceField:
     """Full phase-space STFT: lattice analysis on a = b = 1, centered (O(L^2 log L))."""
     j0 = f.grid.origin
     c = analysis(g, Lattice(1, 1, f.grid), f)
-    return PhaseSpaceField(f.grid, np.roll(c, (j0, j0), axis=(0, 1)))
+    return PhaseSpaceField._adopt(f.grid, np.roll(c, (j0, j0), axis=(0, 1)))
 
 
 def stft_energy(V: PhaseSpaceField) -> float:
@@ -63,7 +80,7 @@ def stft_energy(V: PhaseSpaceField) -> float:
 
     For a unit-norm window this equals ||f||^2 exactly (discrete isometry).
     """
-    return float(V.cell_area * np.sum(np.abs(V.values) ** 2))
+    return float(V.cell_area * np.sum(V.magnitude**2))
 
 
 def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal, min_overlap: float = 1e-10) -> Signal:

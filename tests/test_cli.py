@@ -144,6 +144,22 @@ def test_cache_concurrent_single_entry(tmp_path):
     assert entries == ["con.json"]
 
 
+def test_cache_evicts_least_recently_used(tmp_path):
+    d = str(tmp_path)
+    for key in ("old", "used", "mid"):
+        cache_get_or_compute(key, lambda: "x" * 100, version="1", cache_dir=d)
+    for age, key in enumerate(("used", "old", "mid")):  # "used" oldest by write time
+        os.utime(os.path.join(d, key + ".json"), ns=(10**9 * (age + 1),) * 2)
+    entry = os.path.getsize(os.path.join(d, "old.json"))  # +-2 bytes: the header holds a time
+    _, hit = cache_get_or_compute("used", lambda: "y", version="1", cache_dir=d)
+    assert hit  # the hit makes "used" the most recently used entry
+    bound = 3 * entry + entry // 2
+    cache_get_or_compute("new", lambda: "x" * 100, version="1", cache_dir=d, max_bytes=bound)
+    assert sorted(os.listdir(d)) == ["mid.json", "new.json", "used.json"]
+    cache_get_or_compute("big", lambda: "x" * 1000, version="1", cache_dir=d, max_bytes=1)
+    assert os.listdir(d) == ["big.json"]  # the newest entry stays even above the bound
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("L = 512\ndelta = 0.0625\n\nwindow = bspline:2\n")

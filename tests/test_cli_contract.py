@@ -154,3 +154,22 @@ def test_linalg_error_exits_3(invoke, monkeypatch):
     code, out, _ = invoke("framebounds", *SMALL, "--alpha", "1", "--beta", "0.5", "--no-cache")
     assert code == 3
     assert json.loads(out)["error"]["kind"] == "numerical"
+
+
+@pytest.mark.parametrize("res", ["0", "-3", "1"])
+def test_extension_resolution_below_two_exits_2(invoke, tmp_path, res):
+    code, out, _ = invoke("hrt-extension", *SMALL, "--base", "0,0;0,1;1,0", "--domain", "-4..4",
+                          "--res", res, "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "resolution must be at least 2"
+
+
+def test_classical_wilson_rejects_other_beta(invoke, tmp_path):
+    code, out, _ = invoke("wilson", *SMALL, "--beta", "0.25", "--no-cache",
+                          "--outdir", str(tmp_path))
+    assert code == 2
+    assert "classical" in json.loads(out)["error"]["message"]
+    assert not (tmp_path / "wilson_atoms").exists()
+    code, out, _ = invoke("wilson", *SMALL, "--beta", "0.25", "--variant", "general", "--no-cache",
+                          "--outdir", str(tmp_path))
+    assert code == 0 and json.loads(out)["result"]["beta"] == 0.25

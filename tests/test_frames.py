@@ -56,6 +56,38 @@ def test_analysis_matches_direct_inner_products(rng):
             assert c[n, k] == pytest.approx(inner(f, gabor_atom(g, lat, n, k)), abs=1e-12)
 
 
+# a = b = 1 (the STFT lattice), and a = 12 that does not divide P = 30
+@pytest.mark.parametrize(
+    "grid_, a, b", [(SampleGrid(24, 1 / 4), 1, 1), (SampleGrid(120, 1 / 10), 12, 4)]
+)
+def test_analysis_and_synthesis_match_atom_sums(rng, grid_, a, b):
+    lat = Lattice(a, b, grid_)
+    g = random_signal(grid_, rng)
+    f = random_signal(grid_, rng)
+    shape = (lat.n_time, lat.n_freq)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    atoms = np.array(
+        [[gabor_atom(g, lat, n, k).values for k in range(lat.n_freq)] for n in range(lat.n_time)]
+    )
+    direct = grid_.delta * np.einsum("j,nkj->nk", f.values, np.conj(atoms))
+    assert np.max(np.abs(analysis(g, lat, f) - direct)) < 1e-12 * np.max(np.abs(direct))
+    direct = np.einsum("nk,nkj->j", c, atoms)
+    assert np.max(np.abs(synthesis(g, lat, c).values - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_rolled_windows_is_a_read_only_view(rng):
+    from gaborlab.frames import _rolled_windows
+
+    lat = Lattice(12, 4, SampleGrid(120, 1 / 10))
+    g = random_signal(lat.grid, rng).values
+    G = _rolled_windows(g, lat)
+    n, j = np.meshgrid(np.arange(lat.n_time), np.arange(lat.grid.L), indexing="ij")
+    assert np.array_equal(G, g[(j - n * lat.a) % lat.grid.L])
+    assert G.base is not None and G.strides[0] < 0  # a strided view, not a gathered copy
+    with pytest.raises(ValueError, match="read-only"):
+        G[1, 0] = 0.0
+
+
 def test_analysis_onb_single_coefficient(grid):
     lat = Lattice(32, 32, grid)
     g = sample_window(WindowSpec("indicator", 1.0), grid)
