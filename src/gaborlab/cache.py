@@ -10,14 +10,19 @@ temp file and an atomic rename, so concurrent identical invocations leave
 exactly one durable entry and every caller sees the same bytes.
 
 The cache is bounded by total entry bytes: a hit refreshes its entry's
-mtime, and after each write the least recently used entries are removed
-until the total fits ``MAX_CACHE_BYTES``.  The entry just written is kept
-even if it alone is larger.
+mtime, and each write adds its size to a running total kept in the file
+``USAGE_FILE`` under an exclusive lock.  Only when that total passes
+``MAX_CACHE_BYTES`` (or the file is missing) is the directory scanned, the
+least recently used entries removed until the rest fits, and the total
+reset to the bytes left.  The entry just written is kept even if it alone
+is larger.  Overwritten or externally deleted entries make the total too
+high, which only brings the next scan forward.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import functools
 import hashlib
 import json
@@ -33,6 +38,7 @@ __all__ = ["cache_key", "cache_get_or_compute", "default_cache_dir", "source_fin
 
 ENV_CACHE_DIR = "GABORLAB_CACHE_DIR"
 MAX_CACHE_BYTES = 512 * 2**20  # total size of the entries in one cache directory
+USAGE_FILE = "usage"  # running total of the entry bytes in a cache directory
 
 
 def default_cache_dir() -> str:
@@ -58,8 +64,11 @@ def cache_key(command: str, semantic: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _evict(cache_dir: str, max_bytes: int, keep: str) -> None:
-    """Remove least recently used entries, never ``keep``, until the total fits ``max_bytes``."""
+def _evict(cache_dir: str, keep: str) -> int:
+    """Remove least recently used entries, never ``keep``, until the total fits.
+
+    Returns the bytes of the entries left.
+    """
     entries = []
     with os.scandir(cache_dir) as it:
         for e in it:
@@ -71,13 +80,28 @@ def _evict(cache_dir: str, max_bytes: int, keep: str) -> None:
                 entries.append((st.st_mtime_ns, st.st_size, e.path))
     total = sum(size for _, size, _ in entries)
     for _, size, path in sorted(entries):
-        if total <= max_bytes:
+        if total <= MAX_CACHE_BYTES:
             break
         if path == keep:
             continue
         with contextlib.suppress(FileNotFoundError):  # removed by a concurrent caller
             os.unlink(path)
         total -= size
+    return total
+
+
+def _account(cache_dir: str, added: int, keep: str) -> None:
+    """Add ``added`` bytes to the running total; scan and evict once it passes the bound."""
+    fd = os.open(os.path.join(cache_dir, USAGE_FILE), os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd closes
+        text = os.read(fd, 64)
+        total = int(text) + added if text.isdigit() else None  # no total yet: scan
+        if total is None or total > MAX_CACHE_BYTES:
+            total = _evict(cache_dir, keep)
+        os.pwrite(fd, b"%020d" % total, 0)  # fixed width: overwritten in place, never truncated
+    finally:
+        os.close(fd)
 
 
 def cache_get_or_compute(
@@ -86,12 +110,8 @@ def cache_get_or_compute(
     version: str,
     cache_dir: str | None = None,
     log=None,
-    max_bytes: int = MAX_CACHE_BYTES,
 ) -> tuple[str, bool]:
-    """Return (payload, hit).  ``thunk`` computes the payload string on miss.
-
-    ``max_bytes`` bounds the total size of the entries in ``cache_dir``.
-    """
+    """Return (payload, hit).  ``thunk`` computes the payload string on miss."""
     cache_dir = cache_dir or default_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
@@ -111,14 +131,15 @@ def cache_get_or_compute(
             log(f"cache: corrupt entry {key[:12]} ({exc}), recomputing")
     payload = thunk()
     header = json.dumps({"version": version, "created": time.time()})
+    data = (header + "\n" + payload).encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n" + payload)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    _evict(cache_dir, max_bytes, keep=path)
+    _account(cache_dir, len(data), keep=path)
     return payload, False

@@ -337,7 +337,7 @@ def _cmd_stft(cfg: RunConfig, p):
     V = stft(f, g)
     rec = stft_invert(V, g, g)  # before |V| is held: the inversion is the memory peak
     energy = stft_energy(V)
-    mag = V.magnitude
+    mag = np.abs(V.values)
     result = {
         "signal_window": sig_spec,
         "energy": energy,

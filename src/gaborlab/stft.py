@@ -15,7 +15,6 @@ discretization accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -60,13 +59,6 @@ class PhaseSpaceField:
         """Phase-space cell delta * (1/T) = 1/L."""
         return self.grid.delta / self.grid.T
 
-    @cached_property
-    def magnitude(self) -> np.ndarray:
-        """Read-only |V|, computed once for the energy and any image of it."""
-        mag = np.abs(self.values)
-        mag.flags.writeable = False
-        return mag
-
 
 def stft(f: Signal, g: Signal) -> PhaseSpaceField:
     """Full phase-space STFT: lattice analysis on a = b = 1, centered (O(L^2 log L))."""
@@ -80,7 +72,7 @@ def stft_energy(V: PhaseSpaceField) -> float:
 
     For a unit-norm window this equals ||f||^2 exactly (discrete isometry).
     """
-    return float(V.cell_area * np.sum(V.magnitude**2))
+    return float(V.cell_area * np.sum(np.abs(V.values) ** 2))
 
 
 def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal, min_overlap: float = 1e-10) -> Signal:

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import gaborlab.cache
 from gaborlab.cache import cache_get_or_compute, cache_key
 from gaborlab.cli import run
 from gaborlab.config import ConfigError, load_config_file
@@ -144,7 +145,11 @@ def test_cache_concurrent_single_entry(tmp_path):
     assert entries == ["con.json"]
 
 
-def test_cache_evicts_least_recently_used(tmp_path):
+def _entries(d):
+    return sorted(f for f in os.listdir(d) if f.endswith(".json"))
+
+
+def test_cache_evicts_least_recently_used(tmp_path, monkeypatch):
     d = str(tmp_path)
     for key in ("old", "used", "mid"):
         cache_get_or_compute(key, lambda: "x" * 100, version="1", cache_dir=d)
@@ -153,11 +158,38 @@ def test_cache_evicts_least_recently_used(tmp_path):
     entry = os.path.getsize(os.path.join(d, "old.json"))  # +-2 bytes: the header holds a time
     _, hit = cache_get_or_compute("used", lambda: "y", version="1", cache_dir=d)
     assert hit  # the hit makes "used" the most recently used entry
-    bound = 3 * entry + entry // 2
-    cache_get_or_compute("new", lambda: "x" * 100, version="1", cache_dir=d, max_bytes=bound)
-    assert sorted(os.listdir(d)) == ["mid.json", "new.json", "used.json"]
-    cache_get_or_compute("big", lambda: "x" * 1000, version="1", cache_dir=d, max_bytes=1)
-    assert os.listdir(d) == ["big.json"]  # the newest entry stays even above the bound
+    monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", 3 * entry + entry // 2)
+    cache_get_or_compute("new", lambda: "x" * 100, version="1", cache_dir=d)
+    assert _entries(d) == ["mid.json", "new.json", "used.json"]
+    monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", 1)
+    cache_get_or_compute("big", lambda: "x" * 1000, version="1", cache_dir=d)
+    assert _entries(d) == ["big.json"]  # the newest entry stays even above the bound
+
+
+def test_cache_scans_only_when_the_running_total_passes_the_bound(tmp_path, monkeypatch):
+    d = str(tmp_path)
+    scans = []
+    evict = gaborlab.cache._evict
+    monkeypatch.setattr(gaborlab.cache, "_evict", lambda *a: scans.append(1) or evict(*a))
+
+    def usage():
+        with open(os.path.join(d, gaborlab.cache.USAGE_FILE)) as fh:
+            return int(fh.read())
+
+    def on_disk():
+        return sum(os.path.getsize(os.path.join(d, f)) for f in _entries(d))
+
+    for i in range(5):
+        cache_get_or_compute(f"k{i}", lambda: "x" * 100, version="1", cache_dir=d)
+    assert len(scans) == 1  # the first write finds no total and scans once
+    assert usage() == on_disk()
+    monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", on_disk() + 50)
+    cache_get_or_compute("k5", lambda: "x" * 100, version="1", cache_dir=d)
+    assert len(scans) == 2 and len(_entries(d)) == 5
+    assert usage() == on_disk()  # the scan resets the total to the bytes left
+    os.remove(os.path.join(d, gaborlab.cache.USAGE_FILE))
+    cache_get_or_compute("k6", lambda: "x" * 10, version="1", cache_dir=d)
+    assert len(scans) == 3 and usage() == on_disk()
 
 
 def test_config_file_parsing(tmp_path):
