@@ -3,9 +3,10 @@
 Entries are keyed by a stable hash of the semantic request (command plus
 canonicalized configuration), so flag reordering hits the cache.  An entry
 file is one JSON header line (version, creation time) followed by the
-payload string verbatim; a version mismatch or a corrupt entry triggers
-recomputation.  ``source_fingerprint`` hashes the package sources, so a
-version that includes it changes with every code edit.  Writes go through a
+payload bytes unchanged, so its size is the header line plus the payload
+length; a version mismatch or a corrupt entry triggers recomputation.
+``source_fingerprint`` hashes the package sources, so a version that
+includes it changes with every code edit.  Writes go through a
 temp file and an atomic rename, so concurrent identical invocations leave
 exactly one durable entry and every caller sees the same bytes.
 
@@ -106,20 +107,19 @@ def _account(cache_dir: str, added: int, keep: str) -> None:
 
 def cache_get_or_compute(
     key: str,
-    thunk: Callable[[], str],
+    thunk: Callable[[], bytes],
     version: str,
     cache_dir: str | None = None,
     log=None,
-) -> tuple[str, bool]:
-    """Return (payload, hit).  ``thunk`` computes the payload string on miss."""
+) -> tuple[bytes, bool]:
+    """Return (payload, hit).  ``thunk`` computes the payload bytes on miss."""
     cache_dir = cache_dir or default_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
     log = log or (lambda msg: print(msg, file=sys.stderr))
     if os.path.exists(path):
         try:
-            # newline="" keeps any '\r' in the payload as written
-            with open(path, encoding="utf-8", newline="") as fh:
+            with open(path, "rb") as fh:
                 header = json.loads(fh.readline())
                 if isinstance(header, dict) and header.get("version") == version:
                     payload = fh.read()
@@ -130,16 +130,16 @@ def cache_get_or_compute(
         except (ValueError, OSError) as exc:
             log(f"cache: corrupt entry {key[:12]} ({exc}), recomputing")
     payload = thunk()
-    header = json.dumps({"version": version, "created": time.time()})
-    data = (header + "\n" + payload).encode("utf-8")
+    header = json.dumps({"version": version, "created": time.time()}).encode() + b"\n"
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(header)
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    _account(cache_dir, len(data), keep=path)
+    _account(cache_dir, len(header) + len(payload), keep=path)
     return payload, False

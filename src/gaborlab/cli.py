@@ -4,9 +4,10 @@ Every command is one entry of ``COMMANDS``: its help text, its handler and
 its typed parameters.  That table drives the subcommand parser, the
 config-file keys and merge (flags, then config file, then defaults), the
 required-parameter check and the cache key.  A handler returns its result
-and its artifacts; ``run`` writes a JSON report to stdout and the CSV/PGM
-artifacts to the output directory.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure; errors print a machine-readable JSON object.
+and its artifacts; ``run`` writes a JSON report to stdout and the CSV, PGM
+and NPY artifacts to the output directory.  Exit codes: 0 success, 2
+validation error, 3 numerical failure; errors print a machine-readable JSON
+object.
 Reports embed the resolved configuration, snap errors and the tool version.
 Repeated invocations are served from a content-addressed cache whose entries
 hold the result and the artifact bytes, so a hit restores the artifacts into
@@ -56,6 +57,7 @@ from .serialize import (
     fmt_float,
     framemap_csv,
     framemap_pgm,
+    matrix_npy,
     signal_csv,
     stable_json,
     write_pgm_bytes,
@@ -90,6 +92,16 @@ def _finite(text: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"expected a finite number, got {text!r}")
     return x
+
+
+MAX_RES = 2048  # hrt-extension's field then holds 3 * MAX_RES**2 complex values (201 MB)
+
+
+def _resolution(text: str) -> int:
+    res = int(text)
+    if res > MAX_RES:
+        raise ConfigError(f"res must be at most {MAX_RES}, got {res}")
+    return res
 
 
 def _switch(text: str) -> bool:
@@ -265,16 +277,17 @@ def _cmd_wilson(cfg: RunConfig, p):
     else:
         system = build_wilson_general(w, p.beta)
     onb = wilson_onb_report(system)
-    atoms = [Signal(grid, values) for values in system.atoms]
-    artifacts = {f"wilson_atoms/atom_{i:04d}.csv": signal_csv(a) for i, a in enumerate(atoms)}
     manifest = {
         "variant": system.variant,
         "beta": system.beta,
         "n_atoms": system.n_atoms,
         "index": [list(jm) for jm in system.index],
-        "norms": [a.norm for a in atoms],
+        "norms": [Signal(grid, values).norm for values in system.atoms],
     }
-    artifacts["wilson_atoms/manifest.json"] = stable_json(manifest) + "\n"
+    artifacts = {
+        "wilson_atoms/atoms.npy": matrix_npy(system.atoms),  # row i is atom i of the manifest
+        "wilson_atoms/manifest.json": stable_json(manifest) + "\n",
+    }
     result = {
         "variant": system.variant,
         "beta": system.beta,
@@ -353,7 +366,7 @@ def _cmd_stft(cfg: RunConfig, p):
 _ALPHA = Param("alpha", _finite, required=True)
 _BETA = Param("beta", _finite, required=True)
 _SNAP_TOL = Param("snap_tol", _finite)
-_RES = Param("res", int, required=True)
+_RES = Param("res", _resolution, required=True)
 _LATTICE = (_ALPHA, _BETA, _SNAP_TOL)
 _COMPACT = (_ALPHA, _BETA, Param("m", str, "auto"))
 _SCAN = (
@@ -445,20 +458,19 @@ def _semantic(command: str, values: dict[str, Any]) -> dict[str, Any]:
     return sem
 
 
-def _pack(result: dict, artifacts: dict[str, str | bytes]) -> str:
-    """A header line (result, artifact sizes), then the artifact bytes as latin-1 text."""
+def _pack(result: dict, artifacts: dict[str, str | bytes]) -> bytes:
+    """A JSON header line (result, artifact sizes), then the artifact bytes."""
     data = {name: a.encode() if isinstance(a, str) else a for name, a in artifacts.items()}
     head = {"result": stable_json(result), "sizes": {name: len(d) for name, d in data.items()}}
-    return json.dumps(head) + "\n" + b"".join(data.values()).decode("latin-1")
+    return b"".join([json.dumps(head).encode() + b"\n", *data.values()])
 
 
-def _unpack(payload: str) -> tuple[dict, dict[str, bytes]]:
-    head, _, body = payload.partition("\n")
-    meta = json.loads(head)
-    data = body.encode("latin-1")
-    artifacts, start = {}, 0
+def _unpack(payload: bytes) -> tuple[dict, dict[str, bytes]]:
+    start = payload.index(b"\n") + 1
+    meta = json.loads(payload[:start])
+    artifacts = {}
     for name, size in meta["sizes"].items():
-        artifacts[name] = data[start : start + size]
+        artifacts[name] = payload[start : start + size]
         start += size
     return json.loads(meta["result"]), artifacts
 
@@ -496,7 +508,7 @@ def run(argv: list[str]) -> int:
             raise ConfigError(f"missing required parameters for {args.command}: {missing}")
         params = SimpleNamespace(**{p.name: values[p.name] for p in command.params})
 
-        def compute() -> str:
+        def compute() -> bytes:
             return _pack(*command.handler(cfg, params))
 
         if cfg.cache:

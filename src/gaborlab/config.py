@@ -7,14 +7,19 @@ the ``key = value`` file reader.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, fields
 from typing import Collection
 
 __all__ = ["RunConfig", "load_config_file", "ConfigError"]
 
 
-class ConfigError(ValueError):
-    """Malformed configuration file or invalid value."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Malformed configuration file or invalid value.
+
+    When a flag's type raises it, argparse reports its message instead of
+    a generic "invalid value".
+    """
 
 
 def _power_factor(n: int, p: int) -> int:

@@ -1,13 +1,15 @@
-"""Deterministic serialization: stable JSON, CSV tables, binary PGM images.
+"""Deterministic serialization: stable JSON, CSV tables, binary PGM images
+and NPY matrices.
 
-All floats print with 17 significant digits (full round-trip fidelity for
-float64), dictionary keys are sorted, and lines end with LF, so repeated
-runs produce byte-identical artifacts.
+Text floats print with 17 significant digits (full round-trip fidelity for
+float64), dictionary keys are sorted, and lines end with LF; NPY matrices
+hold the exact values.  Repeated runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import math
 from typing import Any
 
@@ -22,6 +24,7 @@ __all__ = [
     "field_pgm",
     "signal_csv",
     "write_pgm_bytes",
+    "matrix_npy",
 ]
 
 
@@ -149,3 +152,10 @@ def signal_csv(sig) -> str:
     im_text = not v.imag.any()
     flat[1::2] = np.where(np.signbit(v.imag), "-0", "0").tolist() if im_text else v.imag.tolist()
     return "index,x,re,im\n" + _signal_rows(sig.grid, im_text) % tuple(flat)
+
+
+def matrix_npy(values: np.ndarray) -> bytes:
+    """An array as ``.npy`` bytes (no pickled objects), read back with ``np.load``."""
+    buf = io.BytesIO()
+    np.save(buf, values, allow_pickle=False)
+    return buf.getvalue()

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 
+import numpy as np
 import pytest
 
 import gaborlab.cache
@@ -98,7 +99,7 @@ def test_cache_version_invalidates(tmp_path):
 
     def thunk():
         calls.append(1)
-        return "payload"
+        return b"payload"
 
     p1, hit1 = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
     p2, hit2 = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
@@ -110,7 +111,7 @@ def test_cache_version_invalidates(tmp_path):
 
 def test_cache_corruption_recovers(tmp_path):
     def thunk():
-        return "fresh"
+        return b"fresh"
 
     cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
     path = os.path.join(str(tmp_path), "k.json")
@@ -118,7 +119,7 @@ def test_cache_corruption_recovers(tmp_path):
         fh.write("{not json")
     msgs = []
     p, hit = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path), log=msgs.append)
-    assert p == "fresh" and not hit
+    assert p == b"fresh" and not hit
     assert any("corrupt" in m for m in msgs)
     # entry is restored
     _, hit2 = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
@@ -129,7 +130,7 @@ def test_cache_concurrent_single_entry(tmp_path):
     results = []
 
     def thunk():
-        return "same-bytes"
+        return b"same-bytes"
 
     def worker():
         p, _ = cache_get_or_compute("con", thunk, version="1", cache_dir=str(tmp_path))
@@ -140,9 +141,20 @@ def test_cache_concurrent_single_entry(tmp_path):
         t.start()
     for t in threads:
         t.join()
-    assert results == ["same-bytes"] * 8
+    assert results == [b"same-bytes"] * 8
     entries = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
     assert entries == ["con.json"]
+
+
+def test_cache_entry_holds_the_payload_bytes_unchanged(tmp_path):
+    payload = b"head\r\nline\0\xff\xfe\n\r" + bytes(range(256))
+    p1, hit1 = cache_get_or_compute("raw", lambda: payload, version="1", cache_dir=str(tmp_path))
+    p2, hit2 = cache_get_or_compute("raw", lambda: b"", version="1", cache_dir=str(tmp_path))
+    assert (hit1, hit2) == (False, True)
+    assert p1 == p2 == payload
+    path = tmp_path / "raw.json"
+    header = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+    assert os.path.getsize(path) == len(header) + len(payload)
 
 
 def _entries(d):
@@ -152,17 +164,17 @@ def _entries(d):
 def test_cache_evicts_least_recently_used(tmp_path, monkeypatch):
     d = str(tmp_path)
     for key in ("old", "used", "mid"):
-        cache_get_or_compute(key, lambda: "x" * 100, version="1", cache_dir=d)
+        cache_get_or_compute(key, lambda: b"x" * 100, version="1", cache_dir=d)
     for age, key in enumerate(("used", "old", "mid")):  # "used" oldest by write time
         os.utime(os.path.join(d, key + ".json"), ns=(10**9 * (age + 1),) * 2)
     entry = os.path.getsize(os.path.join(d, "old.json"))  # +-2 bytes: the header holds a time
-    _, hit = cache_get_or_compute("used", lambda: "y", version="1", cache_dir=d)
+    _, hit = cache_get_or_compute("used", lambda: b"y", version="1", cache_dir=d)
     assert hit  # the hit makes "used" the most recently used entry
     monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", 3 * entry + entry // 2)
-    cache_get_or_compute("new", lambda: "x" * 100, version="1", cache_dir=d)
+    cache_get_or_compute("new", lambda: b"x" * 100, version="1", cache_dir=d)
     assert _entries(d) == ["mid.json", "new.json", "used.json"]
     monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", 1)
-    cache_get_or_compute("big", lambda: "x" * 1000, version="1", cache_dir=d)
+    cache_get_or_compute("big", lambda: b"x" * 1000, version="1", cache_dir=d)
     assert _entries(d) == ["big.json"]  # the newest entry stays even above the bound
 
 
@@ -180,15 +192,15 @@ def test_cache_scans_only_when_the_running_total_passes_the_bound(tmp_path, monk
         return sum(os.path.getsize(os.path.join(d, f)) for f in _entries(d))
 
     for i in range(5):
-        cache_get_or_compute(f"k{i}", lambda: "x" * 100, version="1", cache_dir=d)
+        cache_get_or_compute(f"k{i}", lambda: b"x" * 100, version="1", cache_dir=d)
     assert len(scans) == 1  # the first write finds no total and scans once
     assert usage() == on_disk()
     monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", on_disk() + 50)
-    cache_get_or_compute("k5", lambda: "x" * 100, version="1", cache_dir=d)
+    cache_get_or_compute("k5", lambda: b"x" * 100, version="1", cache_dir=d)
     assert len(scans) == 2 and len(_entries(d)) == 5
     assert usage() == on_disk()  # the scan resets the total to the bytes left
     os.remove(os.path.join(d, gaborlab.cache.USAGE_FILE))
-    cache_get_or_compute("k6", lambda: "x" * 10, version="1", cache_dir=d)
+    cache_get_or_compute("k6", lambda: b"x" * 10, version="1", cache_dir=d)
     assert len(scans) == 3 and usage() == on_disk()
 
 
@@ -306,7 +318,9 @@ def test_wilson_command_writes_manifest(env):
     manifest = json.loads((env.outdir / "wilson_atoms" / "manifest.json").read_text())
     assert manifest["n_atoms"] == 256
     assert len(manifest["norms"]) == 256
-    assert (env.outdir / "wilson_atoms" / "atom_0000.csv").exists()
+    atoms = np.load(env.outdir / "wilson_atoms" / "atoms.npy", allow_pickle=False)
+    assert atoms.shape == (256, 256) and atoms.dtype == np.complex128
+    assert sorted(os.listdir(env.outdir / "wilson_atoms")) == ["atoms.npy", "manifest.json"]
 
 
 def test_hrt_extension_command(env):

@@ -8,6 +8,9 @@ import pytest
 
 from gaborlab import cli
 from gaborlab.cache import source_fingerprint
+from gaborlab.core import SampleGrid
+from gaborlab.wilson import build_wilson_classical, build_wilson_general, make_wilson_window
+from gaborlab.windows import parse_window
 
 SMALL = ("--L", "128", "--delta", "0.125")
 
@@ -60,8 +63,9 @@ def test_hit_with_new_outdir_restores_artifacts(invoke, tmp_path, name):
     assert rep2["config"]["threads"] == 2
     assert rep2["result"] == rep1["result"]
     if name == "wilson":
-        atoms = [f for f in tree(second) if f.startswith("wilson_atoms/atom_")]
-        assert len(atoms) == rep2["result"]["n_atoms"] == 128
+        assert sorted(tree(second)) == ["wilson_atoms/atoms.npy", "wilson_atoms/manifest.json"]
+        atoms = np.load(second / "wilson_atoms" / "atoms.npy", allow_pickle=False)
+        assert atoms.shape == (rep2["result"]["n_atoms"], 128) == (128, 128)
 
 
 def test_hit_restores_deleted_and_altered_artifacts(invoke, tmp_path):
@@ -162,6 +166,45 @@ def test_extension_resolution_below_two_exits_2(invoke, tmp_path, res):
                           "--res", res, "--no-cache", "--outdir", str(tmp_path))
     assert code == 2
     assert json.loads(out)["error"]["message"] == "resolution must be at least 2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "-4..4"),
+        ("scan", "--alpha", "0..2", "--beta", "0..2"),
+    ],
+)
+def test_resolution_above_the_bound_exits_2(invoke, tmp_path, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the resolution reached the computation")
+
+    monkeypatch.setattr(cli, "extension_field", unreachable)
+    monkeypatch.setattr(cli, "scan_frame_set", unreachable)
+    message = f"res must be at most {cli.MAX_RES}, got 20000"
+    code, out, err = invoke(*argv, *SMALL, "--res", "20000", "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+    assert message in err  # argparse names the bound
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("res = 20000\n")
+    code, out, _ = invoke(*argv, *SMALL, "--config", str(cfg), "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == message
+    assert cli._resolution(str(cli.MAX_RES)) == cli.MAX_RES
+
+
+@pytest.mark.parametrize("variant, beta", [("classical", 0.5), ("general", 0.25)])
+def test_wilson_atoms_npy_holds_the_system_atoms(invoke, tmp_path, variant, beta):
+    code, _, _ = invoke("wilson", *SMALL, "--beta", str(beta), "--variant", variant, "--no-cache",
+                        "--outdir", str(tmp_path))
+    assert code == 0
+    w = make_wilson_window(parse_window("gaussian"), beta, SampleGrid(128, 0.125), wrap_tol=1e-12)
+    system = build_wilson_classical(w) if variant == "classical" else build_wilson_general(w, beta)
+    atoms = np.load(tmp_path / "wilson_atoms" / "atoms.npy", allow_pickle=False)
+    manifest = json.loads((tmp_path / "wilson_atoms" / "manifest.json").read_text())
+    assert np.array_equal(atoms, system.atoms)
+    assert atoms.shape == (manifest["n_atoms"], 128)
 
 
 def test_classical_wilson_rejects_other_beta(invoke, tmp_path):

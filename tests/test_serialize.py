@@ -1,5 +1,7 @@
-"""CSV serialization: bulk formatting matches per-value fmt_float byte for byte."""
+"""Serialization: bulk CSV formatting matches per-value fmt_float byte for byte,
+and NPY matrices hold the exact values."""
 
+import io
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from gaborlab import SampleGrid, Signal
 from gaborlab.hrt import ExtensionField
-from gaborlab.serialize import field_csv, fmt_float, signal_csv, write_pgm_bytes
+from gaborlab.serialize import field_csv, fmt_float, matrix_npy, signal_csv, write_pgm_bytes
 
 SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.1, -1e300, 1.0]
 
@@ -79,3 +81,12 @@ def test_field_csv_matches_reference_loop():
         for j, a in enumerate(a_grid):
             lines.append(f"{fmt_float(a)},{fmt_float(b)},{fmt_float(F[i, j])}")
     assert field_csv(field) == "\n".join(lines) + "\n"
+
+
+def test_matrix_npy_round_trips_exact_values():
+    values = np.array(SPECIAL, dtype=float).reshape(2, 5) * (1 + 1j) - 1j * 5e-324
+    data = matrix_npy(values)
+    assert data == matrix_npy(values.copy())  # the same values give the same bytes
+    back = np.load(io.BytesIO(data), allow_pickle=False)
+    assert back.dtype == np.complex128 and back.shape == (2, 5)
+    assert back.tobytes() == values.tobytes()  # every bit, nan payloads and -0 included
