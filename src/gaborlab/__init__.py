@@ -42,7 +42,6 @@ from .frames import (
     frame_apply,
     frame_bounds,
     frame_matrix,
-    frame_operator_blocks,
     gabor_atom,
     least_norm_check,
     synthesis,

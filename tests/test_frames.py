@@ -290,7 +290,6 @@ def test_painless_bounds_closed_form(grid, a, b):
     assert 1 / lat.beta >= 2
     diag = (1 / lat.beta) * np.sum(np.abs(g.values.reshape(-1, a)) ** 2, axis=0)
     rep = frame_bounds(g, lat)
-    assert rep.method == "block-dense"
     assert rep.A == pytest.approx(diag.min(), abs=1e-13)
     assert rep.B == pytest.approx(diag.max(), abs=1e-13)
     if (lat.alpha, lat.beta) == (1.0, 0.5):
@@ -298,30 +297,16 @@ def test_painless_bounds_closed_form(grid, a, b):
         assert rep.B == pytest.approx(2.0, abs=1e-13)
 
 
-def test_wide_block_goes_to_lanczos():
-    # b = L = 4096 > DENSE_BLOCK_MAX: one block, rank 64 (one frequency)
+def test_undersampled_bounds_come_from_the_adjoint_lattice():
+    # a b = 64 L: A = 0, and B is (L / (a b)) B of the adjoint lattice (1, 64)
     grid = SampleGrid(4096, 1 / 64)
     g = sample_window(WindowSpec("gaussian"), grid)
     rep = frame_bounds(g, Lattice(64, 4096, grid))
-    assert rep.method == "iterative-lanczos"
-    assert rep.A <= 1e-12
+    assert rep.A == 0.0
     # the nonzero spectrum is that of the Gram matrix delta <T_na g, T_ma g>
     shifted = np.stack([np.roll(g.values, 64 * n) for n in range(64)])
     gram = grid.delta * (np.conj(shifted) @ shifted.T)
-    assert rep.B == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-8)
-
-
-def test_lanczos_matches_dense(monkeypatch):
-    from gaborlab import frames
-
-    g = sample_window(WindowSpec("gaussian"), SMALL)
-    lat = Lattice(8, 8, SMALL)
-    dense = frame_bounds(g, lat)
-    monkeypatch.setattr(frames, "DENSE_BLOCK_MAX", 0)
-    lanczos = frame_bounds(g, lat)
-    assert (dense.method, lanczos.method) == ("block-dense", "iterative-lanczos")
-    assert lanczos.A == pytest.approx(dense.A, rel=1e-10)
-    assert lanczos.B == pytest.approx(dense.B, rel=1e-10)
+    assert rep.B == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("solve", [canonical_dual, canonical_tight])
@@ -329,33 +314,39 @@ def test_window_solve_builds_blocks_once(monkeypatch, grid, gaussian, solve):
     from gaborlab import frames
 
     calls = []
-    build = frames.frame_operator_blocks
-    monkeypatch.setattr(
-        frames, "frame_operator_blocks", lambda *args: calls.append(1) or build(*args)
-    )
+    build = frames._symbol
+    monkeypatch.setattr(frames, "_symbol", lambda *args: calls.append(1) or build(*args))
     solve(gaussian, Lattice(32, 16, grid))
     assert len(calls) == 1
     with pytest.raises(NotAFrameError):
-        solve(gaussian, Lattice(64, 32, grid))  # alpha * beta = 2
+        solve(gaussian, Lattice(256, 4, grid))  # alpha = 8 leaves gaps: A ~ 0
     assert len(calls) == 2
+    with pytest.raises(NotAFrameError):
+        solve(gaussian, Lattice(64, 32, grid))  # alpha * beta = 2: the adjoint's symbol
+    assert len(calls) == 3
 
 
-# Lattices with a < P = L/b, so the blocks repeat (block r of S is
-# blocks[r % a]).  In the first and the last, a does not divide P and only
-# gcd(a, P) < a blocks are eigensolved for the bounds.
+# Lattices with a < P = L/b, so the blocks of S repeat (block r is block
+# r mod a).  In the first and the last, a does not divide P: only gcd(a, P)
+# < a symbol rows are eigensolved for the bounds, and each holds q = b/p
+# matrices of size p = a / gcd(a, P) > 1.
 REDUCED = [
-    (SampleGrid(120, 1 / 10), 12, 4),  # P = 30, gcd = 6
+    (SampleGrid(120, 1 / 10), 12, 4),  # P = 30, gcd = 6, p = 2, q = 2
     (SampleGrid(120, 1 / 10), 8, 3),  # P = 40
     (SampleGrid(120, 1 / 10), 15, 2),  # P = 60
-    (SampleGrid(360, 1 / 12), 24, 10),  # P = 36, gcd = 12
+    (SampleGrid(360, 1 / 12), 24, 10),  # P = 36, gcd = 12, p = 2, q = 5
+]
+# a b > L, where the bounds come from the adjoint lattice, and a b = L
+UNDERSAMPLED = [
+    (SampleGrid(120, 1 / 10), 40, 12),  # P = 10, p = 4, q = 3
+    (SampleGrid(120, 1 / 10), 24, 10),  # P = 12, p = 2, q = 5
+    (SampleGrid(120, 1 / 10), 12, 10),  # a b = L
 ]
 
 
 @pytest.mark.parametrize("spec", [WindowSpec("gaussian"), WindowSpec("bspline", 3)])
-@pytest.mark.parametrize("grid_, a, b", REDUCED)
+@pytest.mark.parametrize("grid_, a, b", REDUCED + UNDERSAMPLED)
 def test_reduced_blocks_match_atom_sum(grid_, a, b, spec):
-    from gaborlab import frame_operator_blocks
-
     lat = Lattice(a, b, grid_)
     g = sample_window(spec, grid_)
     atoms = np.array(
@@ -367,7 +358,6 @@ def test_reduced_blocks_match_atom_sum(grid_, a, b, spec):
     rep = frame_bounds(g, lat)
     assert abs(rep.A - max(eigs[0], 0.0)) < 1e-13 * rep.B
     assert abs(rep.B - eigs[-1]) < 1e-13 * rep.B
-    assert len(frame_operator_blocks(g, lat)) == min(a, lat.n_freq)
 
 
 @pytest.mark.parametrize("spec", [WindowSpec("gaussian"), WindowSpec("bspline", 3)])
