@@ -62,7 +62,7 @@ from .serialize import (
     stable_json,
     write_pgm_bytes,
 )
-from .stft import NearOrthogonalPairError, stft, stft_energy, stft_invert
+from .stft import NearOrthogonalPairError, stft, stft_invert
 from .wilson import (
     build_wilson_classical,
     build_wilson_general,
@@ -88,17 +88,27 @@ NUMERICAL_ERRORS = (
 
 
 def _finite(text: str) -> float:
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"expected a finite number, got {text!r}")
     return x
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
 MAX_RES = 2048  # hrt-extension's field then holds 3 * MAX_RES**2 complex values (201 MB)
 
 
 def _resolution(text: str) -> int:
-    res = int(text)
+    res = _integer(text)
     if res > MAX_RES:
         raise ConfigError(f"res must be at most {MAX_RES}, got {res}")
     return res
@@ -118,10 +128,11 @@ def _choice(*names: str) -> Callable[[str], str]:
 
 
 def _parse_range(text: str) -> tuple[float, float]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ConfigError(f"expected a range like 0..2, got {text!r}")
-    return _finite(lo), _finite(hi)
+    lo, _, hi = text.partition("..")  # without "..", hi is "" and fails below
+    try:
+        return _finite(lo), _finite(hi)
+    except ConfigError:
+        raise ConfigError(f"expected a range of finite numbers like 0..2, got {text!r}") from None
 
 
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
@@ -130,10 +141,11 @@ def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        a, sep, b = chunk.partition(",")
-        if not sep:
-            raise ConfigError(f"expected 'a,b' pairs separated by ';', got {chunk!r}")
-        pts.append((_finite(a), _finite(b)))
+        a, _, b = chunk.partition(",")  # without ",", b is "" and fails below
+        try:
+            pts.append((_finite(a), _finite(b)))
+        except ConfigError:
+            raise ConfigError(f"expected finite 'a,b' pairs joined by ';', got {chunk!r}") from None
     if not pts:
         raise ConfigError("empty point list")
     return tuple(pts)
@@ -167,12 +179,12 @@ class Command:
 
 
 COMMON = (
-    Param("L", int, 1024),
+    Param("L", _integer, 1024),
     Param("delta", _finite, 1.0 / 32.0),
     Param("window", str, "gaussian"),
     Param("outdir", str, ".", keyed=False),  # artifact location does not change the result
     Param("cache", _switch, True, keyed=False),
-    Param("threads", int, 1, keyed=False),  # results are schedule-independent
+    Param("threads", _integer, 1, keyed=False),  # results are schedule-independent
     Param("wrap_tol", _finite, 1e-12),
 )
 
@@ -349,8 +361,8 @@ def _cmd_stft(cfg: RunConfig, p):
     f = _sample(cfg, sig_spec)
     V = stft(f, g)
     rec = stft_invert(V, g, g)  # before |V| is held: the inversion is the memory peak
-    energy = stft_energy(V)
     mag = np.abs(V.values)
+    energy = float(V.cell_area * np.sum(mag**2))  # stft_energy(V), without a second |V|
     result = {
         "signal_window": sig_spec,
         "energy": energy,

@@ -119,7 +119,7 @@ def analysis(g: Signal, lat: Lattice, f: Signal) -> np.ndarray:
     folded = U if b == 1 else U.reshape(lat.n_time, b, P).sum(axis=1)
     k = np.arange(P)
     sign = np.where((k * b) % 2 == 0, 1.0, -1.0)  # exp(2 pi i k j0 / P)
-    c = np.fft.fft(folded, axis=1)
+    c = np.fft.fft(folded, axis=1, out=folded)  # folded is always a fresh buffer
     c *= lat.grid.delta * sign
     return c
 
@@ -134,10 +134,13 @@ def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
     P = lat.n_freq
     k = np.arange(P)
     sign = np.where((k * b) % 2 == 0, 1.0, -1.0)
-    w = np.fft.ifft(c * sign[None, :], axis=1)  # w[n, r], period P in j
-    w *= P
-    G = _rolled_windows(g.values, lat).reshape(lat.n_time, b, P)  # j = s P + r
-    out = np.sum(w[:, None, :] * G, axis=0)
+    w = c * (P * sign)  # one pass; the inverse FFT below scales by 1/P
+    np.fft.ifft(w, axis=1, out=w)  # w[n, r], period P in j
+    G = _rolled_windows(g.values, lat)
+    if b == 1:
+        w *= G
+        return Signal(lat.grid, w.sum(axis=0))
+    out = np.sum(w[:, None, :] * G.reshape(lat.n_time, b, P), axis=0)  # j = s P + r
     return Signal(lat.grid, out.reshape(L))
 
 

@@ -4,12 +4,20 @@ The phase-space grid is the full L x L torus: time shifts at every grid
 point x_n and frequencies at every dual point xi_k.  That is the Gabor
 system of the finest lattice, a = b = 1 (alpha = delta, beta = 1/T), so the
 transform and its inverse are :func:`frames.analysis` and
-:func:`frames.synthesis` on that lattice; this module only recenters the
-coefficients, rolling both axes by L/2 so that row n is x_n and column k is
-xi_k.  With the cell weight delta * (1/T) the discrete analysis map is
-exactly isometric and the weak-sense inversion formula reconstructs
-exactly, so the continuum identities hold at machine precision rather than
-discretization accuracy.
+:func:`frames.synthesis` on that lattice.  Row n and column k of the
+field are x_n = x_0 + n delta and xi_k = xi_0 + k / T, with j0 = L/2,
+x_0 = -j0 delta and xi_0 = -j0 / T.  The window and the signal carry that
+offset, instead of a roll of the L x L coefficients:
+
+    V[n, k] = <M_{xi_0} f, M_{k/T} T_{n delta} (T_{-x_0} g)>,
+
+since M_{xi_0} = M_{-xi_0} and T_{x_0} = T_{-x_0} on the torus.  T_{-x_0} g
+is g rolled by -j0 (an O(L) roll) and M_{xi_0} f is f times the exact
+signs (-1)^(j - j0).  The inverse synthesises with the rolled window and
+multiplies the length-L result by the same signs.  With the cell weight
+delta * (1/T) the discrete analysis map is exactly isometric and the
+weak-sense inversion formula reconstructs exactly, so the continuum
+identities hold at machine precision rather than discretization accuracy.
 """
 
 from __future__ import annotations
@@ -60,11 +68,17 @@ class PhaseSpaceField:
         return self.grid.delta / self.grid.T
 
 
+def _centering_signs(grid: SampleGrid) -> np.ndarray:
+    """(-1)^(j - j0): the modulation M_{xi_0} by xi_0 = -j0 / T, exact on the grid."""
+    return np.where((np.arange(grid.L) - grid.origin) % 2 == 0, 1.0, -1.0)
+
+
 def stft(f: Signal, g: Signal) -> PhaseSpaceField:
-    """Full phase-space STFT: lattice analysis on a = b = 1, centered (O(L^2 log L))."""
-    j0 = f.grid.origin
-    c = analysis(g, Lattice(1, 1, f.grid), f)
-    return PhaseSpaceField._adopt(f.grid, np.roll(c, (j0, j0), axis=(0, 1)))
+    """Centered phase-space STFT: M_{xi_0} f analysed on a = b = 1 with g rolled by -j0."""
+    grid = f.grid
+    g0 = Signal(grid, np.roll(g.values, -grid.origin))
+    f0 = Signal(grid, f.values * _centering_signs(grid))
+    return PhaseSpaceField._adopt(grid, analysis(g0, Lattice(1, 1, grid), f0))
 
 
 def stft_energy(V: PhaseSpaceField) -> float:
@@ -81,7 +95,8 @@ def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal, min_overlap: float = 1
     Any h with <g, h> != 0 works; the synthesis weight is the conjugate
     pairing <h, g>, which makes the discrete reconstruction exact.  Pairs
     with |<g,h>| below ``min_overlap`` are rejected because the 1/<g,h>
-    factor blows up.
+    factor blows up.  V is synthesised as it stands with h rolled by -j0,
+    and only the length-L result is multiplied by the signs (-1)^(j - j0).
     """
     if g.grid != V.grid or h.grid != V.grid:
         raise GridMismatchError("window grids must match the field grid")
@@ -92,8 +107,7 @@ def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal, min_overlap: float = 1
             "weight in the inversion formula diverges for near-orthogonal pairs"
         )
     grid = V.grid
-    j0 = grid.origin
-    c_lat = np.roll(V.values, (-j0, -j0), axis=(0, 1))
-    r = synthesis(h, Lattice(1, 1, grid), c_lat).values
+    h0 = Signal(grid, np.roll(h.values, -grid.origin))
+    r = synthesis(h0, Lattice(1, 1, grid), V.values).values
     cell = grid.delta / grid.T
-    return Signal(grid, (cell / c) * r)
+    return Signal(grid, (cell / c) * (r * _centering_signs(grid)))

@@ -220,6 +220,35 @@ def test_rejected_argument_names_its_reason_in_the_json_error(
     assert error["kind"] == "validation" and error["message"].endswith(file_message)
 
 
+_LATTICE = ("framebounds", "--alpha", "1", "--beta", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, expected",
+    [
+        (("dual", "--beta", "0.3"), "alpha", "one", "expected a finite number, got 'one'"),
+        (_LATTICE, "L", "1e3", "expected an integer, got '1e3'"),
+        (_LATTICE, "threads", "two", "expected an integer, got 'two'"),
+        (("scan", "--alpha", "0..1", "--beta", "0..1"), "res", "2.5",
+         "expected an integer, got '2.5'"),
+        (("scan", "--beta", "0..1", "--res", "2"), "alpha", "x..1",
+         "expected a range of finite numbers like 0..2, got 'x..1'"),
+        (("hrt-gram",), "points", "0,0;a,1",
+         "expected finite 'a,b' pairs joined by ';', got 'a,1'"),
+    ],
+    ids=["finite", "L", "threads", "res", "range", "points"],
+)
+def test_malformed_value_names_what_its_parameter_expects(invoke, tmp_path, argv, key, value, expected):
+    code, out, _ = invoke(*argv, f"--{key}", value, "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": f"argument --{key}: {expected}"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, _ = invoke(*argv, "--config", str(cfg), "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": expected}
+
+
 @pytest.mark.parametrize(
     "argv, stdout", [(("--version",), "0.1.0\n"), (("framebounds", "--help"), "usage:")]
 )

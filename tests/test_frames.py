@@ -98,6 +98,25 @@ def test_analysis_onb_single_coefficient(grid):
     assert np.max(np.abs(c)) < 1e-12
 
 
+def _broadcast_synthesis(g, lat, c):
+    """sum_n w[n, r] g[j - n a] as one (n_time, b, P) broadcast product, j = s P + r."""
+    P = lat.n_freq
+    sign = np.where((np.arange(P) * lat.b) % 2 == 0, 1.0, -1.0)
+    w = np.fft.ifft(c * sign, axis=1) * P
+    G = np.array([np.roll(g.values, n * lat.a) for n in range(lat.n_time)])
+    return np.sum(w[:, None, :] * G.reshape(lat.n_time, lat.b, P), axis=0).reshape(lat.grid.L)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (4, 8)])
+def test_synthesis_matches_the_broadcast_product(rng, a, b):
+    grid_ = SampleGrid(96, 1 / 8)
+    lat = Lattice(a, b, grid_)
+    g = sample_window(WindowSpec("gaussian"), grid_).unit()
+    c = rng.normal(size=(lat.n_time, lat.n_freq)) + 1j * rng.normal(size=(lat.n_time, lat.n_freq))
+    ref = _broadcast_synthesis(g, lat, c)
+    assert np.max(np.abs(synthesis(g, lat, c).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_synthesis_delta_gives_atom(grid, gaussian):
     lat = Lattice(32, 16, grid)
     c = np.zeros((lat.n_time, lat.n_freq), dtype=complex)

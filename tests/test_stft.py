@@ -1,5 +1,7 @@
 """Phase-space transform: oracle match, isometry, inversion, covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,56 @@ def test_inversion_of_arbitrary_field():
     direct = (grid.delta / grid.T / inner(h, g)) * direct
     rec = stft_invert(V, g, h)
     assert np.max(np.abs(rec.values - direct)) < 1e-12
+
+
+# j0 = L/2 is odd on these grids, so the centering signs (-1)^(j - j0) are
+# not (-1)^j: a sign taken from the wrong origin fails here.
+ODD_ORIGIN = [SampleGrid(54, 1 / 6), SampleGrid(18, 1 / 3)]
+
+
+@pytest.mark.parametrize("grid", ODD_ORIGIN, ids=lambda gr: f"L{gr.L}")
+def test_values_match_direct_inner_products_odd_origin(grid):
+    g = sample_window(WindowSpec("gaussian"), grid, wrap_tol=1.0).unit()
+    f = random_signal(grid, np.random.default_rng(13))
+    V = stft(f, g)
+    x, xi = grid.x(), grid.xi()
+    direct = np.array(
+        [[inner(f, tf_shift(g, (x[n], xi[k]))) for k in range(grid.L)] for n in range(grid.L)]
+    )
+    assert np.max(np.abs(V.values - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("grid", ODD_ORIGIN, ids=lambda gr: f"L{gr.L}")
+def test_inversion_of_arbitrary_field_odd_origin(grid):
+    L = grid.L
+    g = sample_window(WindowSpec("gaussian"), grid, wrap_tol=1.0).unit()
+    h = sample_window(WindowSpec("sech"), grid, wrap_tol=10.0)
+    rng = np.random.default_rng(17)
+    V = PhaseSpaceField(grid, rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)))
+    x, xi = grid.x(), grid.xi()
+    direct = sum(
+        V.values[n, k] * tf_shift(h, (x[n], xi[k])).values for n in range(L) for k in range(L)
+    )
+    direct = (grid.delta / grid.T / inner(h, g)) * direct
+    rec = stft_invert(V, g, h)
+    assert np.max(np.abs(rec.values - direct)) < 1e-12
+
+
+def test_transform_and_inversion_hold_one_field_copy():
+    # peak traced memory in units of one L x L complex field
+    grid = SampleGrid(512, 1 / 16)
+    unit = grid.L**2 * 16
+    g = sample_window(WindowSpec("gaussian"), grid).unit()
+    f = random_signal(grid, np.random.default_rng(19))
+    tracemalloc.start()
+    try:
+        V = stft(f, g)
+        _, stft_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        stft_invert(V, g, g)
+        _, invert_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stft_peak <= 1.25 * unit
+    assert invert_peak - held <= 1.25 * unit
