@@ -104,6 +104,10 @@ def _integer(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
+def _dual_order(text: str) -> int | str:
+    return text if text == "auto" else _integer(text)
+
+
 MAX_RES = 2048  # hrt-extension's field then holds 3 * MAX_RES**2 complex values (201 MB)
 
 
@@ -239,7 +243,7 @@ def _cmd_compact(cfg: RunConfig, p, artifact: bool):
     if spec.family != "bspline":
         raise ConfigError(f"this command needs a bspline window, got {spec.label()}")
     N = int(spec.param)
-    h = bspline_compact_dual(N, p.alpha, p.beta, m=p.m if p.m == "auto" else int(p.m))
+    h = bspline_compact_dual(N, p.alpha, p.beta, m=p.m)
     g = compact_window(WindowSpec("bspline", N))
     result = {
         "support": [h.x_lo, h.x_hi],
@@ -380,7 +384,7 @@ _BETA = Param("beta", _finite, required=True)
 _SNAP_TOL = Param("snap_tol", _finite)
 _RES = Param("res", _resolution, required=True)
 _LATTICE = (_ALPHA, _BETA, _SNAP_TOL)
-_COMPACT = (_ALPHA, _BETA, Param("m", str, "auto"))
+_COMPACT = (_ALPHA, _BETA, Param("m", _dual_order, "auto"))
 _SCAN = (
     Param("alpha", _parse_range, required=True, help="range lo..hi"),
     Param("beta", _parse_range, required=True, help="range lo..hi"),

@@ -75,6 +75,8 @@ def _centering_signs(grid: SampleGrid) -> np.ndarray:
 
 def stft(f: Signal, g: Signal) -> PhaseSpaceField:
     """Centered phase-space STFT: M_{xi_0} f analysed on a = b = 1 with g rolled by -j0."""
+    if g.grid != f.grid:
+        raise GridMismatchError("window grid must match the signal grid")
     grid = f.grid
     g0 = Signal(grid, np.roll(g.values, -grid.origin))
     f0 = Signal(grid, f.values * _centering_signs(grid))

@@ -235,8 +235,10 @@ _LATTICE = ("framebounds", "--alpha", "1", "--beta", "1")
          "expected a range of finite numbers like 0..2, got 'x..1'"),
         (("hrt-gram",), "points", "0,0;a,1",
          "expected finite 'a,b' pairs joined by ';', got 'a,1'"),
+        (("janssen", "--window", "bspline:2", "--alpha", "0.5", "--beta", "0.5"), "m", "two",
+         "expected an integer, got 'two'"),
     ],
-    ids=["finite", "L", "threads", "res", "range", "points"],
+    ids=["finite", "L", "threads", "res", "range", "points", "m"],
 )
 def test_malformed_value_names_what_its_parameter_expects(invoke, tmp_path, argv, key, value, expected):
     code, out, _ = invoke(*argv, f"--{key}", value, "--no-cache", "--outdir", str(tmp_path))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaborlab import (
+    GridMismatchError,
     NearOrthogonalPairError,
     PhaseSpaceField,
     SampleGrid,
@@ -106,6 +107,14 @@ def test_near_orthogonal_pair_rejected(f, g):
     odd = Signal(GRID, GRID.x() * g.values)  # odd function: <g, odd> = 0
     with pytest.raises(NearOrthogonalPairError):
         stft_invert(V, g, odd)
+
+
+@pytest.mark.parametrize(
+    "grid", [SampleGrid(256, 1 / 8), SampleGrid(128, 1 / 16)], ids=["same-L", "other-L"]
+)
+def test_window_on_another_grid_rejected(f, grid):
+    with pytest.raises(GridMismatchError):
+        stft(f, sample_window(WindowSpec("gaussian"), grid))
 
 
 def test_covariance_on_lattice_points(f, g):
