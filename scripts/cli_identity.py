@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Fingerprint a fixed set of CLI invocations, or compare two such runs.
+
+The set covers every command and each expected exit code (0, 2 and 3).
+Each invocation runs in process with ``--no-cache`` and writes to a fixed
+relative ``--outdir`` under ``--workdir``, so the stdout of runs made from
+two checkouts compares byte for byte.  One JSON line per invocation holds
+the exit code, the sha256 of stdout and of each artifact, and the float
+fields of the result.
+
+    PYTHONPATH=src python scripts/cli_identity.py --workdir /tmp/ident > new.jsonl
+    python scripts/cli_identity.py --compare old.jsonl new.jsonl
+
+A run exits 1 when some exit code differs from the expected one; a
+comparison exits 1 when the two runs differ anywhere, and lists where.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+
+BASE = ["--L", "256", "--delta", "0.0625"]
+BSPLINE = ["--window", "bspline:2"]
+EXT = ["--base", "0,0;0,1;1,0", "--domain", "-6..6"]
+STFT_SIGNAL = ["--signal-window", "indicator:1.5"]
+QUESTION = "0,0;0,1;1,0;1.4142135623730951,1.4142135623730951"
+
+# (name, argv, expected exit code)
+INVOCATIONS = [
+    ("framebounds", ["framebounds", "--alpha", "0.5", "--beta", "1"], 0),
+    ("framebounds-bspline", ["framebounds", *BASE, *BSPLINE, "--alpha", "1", "--beta", "0.5"], 0),
+    ("framebounds-adjoint",
+     ["framebounds", "--L", "4096", "--delta", "0.015625", "--alpha", "2", "--beta", "32"], 0),
+    ("dual", ["dual", "--alpha", "0.5", "--beta", "1"], 0),
+    ("tight", ["tight", *BASE, "--alpha", "0.5", "--beta", "1.5"], 0),
+    ("janssen", ["janssen", "--window", "bspline:3", "--alpha", "1", "--beta", "0.6"], 0),
+    ("bspline-dual", ["bspline-dual", *BSPLINE, "--alpha", "1", "--beta", "0.7"], 0),
+    ("scan", ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "16"], 0),
+    ("wilson-classical", ["wilson", "--L", "512", "--beta", "0.5"], 0),
+    ("wilson-general", ["wilson", *BASE, "--beta", "0.25", "--variant", "general"], 0),
+    ("hrt-gram", ["hrt-gram", "--points", QUESTION], 0),
+    ("hrt-extension", ["hrt-extension", *EXT, "--res", "240"], 0),
+    ("hrt-extension-moved",
+     ["hrt-extension", "--base", "1,1;1,2;2.5,1", "--domain", "-5..5", "--res", "64"], 0),
+    ("classify-region", ["classify", "--alpha", "1", "--beta", "0.7"], 0),
+    ("classify-points", ["classify", "--points", "0,0;0,1;1,0;1,1"], 0),
+    ("stft-54", ["stft", "--L", "54", "--delta", "0.25", *STFT_SIGNAL], 0),
+    ("stft-864", ["stft", "--L", "864", *STFT_SIGNAL], 0),
+    ("stft-2048", ["stft", "--L", "2048", "--window", "sech", *STFT_SIGNAL], 0),
+    ("bad-L", ["framebounds", "--L", "1000", "--alpha", "0.5", "--beta", "1"], 2),
+    ("missing-parameter", ["framebounds", "--alpha", "0.5"], 2),
+    ("non-numeric", ["dual", "--alpha", "one", "--beta", "0.3"], 2),
+    ("duplicate-points", ["hrt-gram", "--points", "0,0;0.5,0.5;1,0;0.5,0.5"], 2),
+    ("wilson-classical-beta", ["wilson", *BASE, "--beta", "0.25"], 2),
+    ("hrt-extension-res", ["hrt-extension", *EXT, "--res", "1"], 2),
+    ("bspline-dual-dense", ["bspline-dual", *BSPLINE, "--alpha", "1.2", "--beta", "1"], 2),
+    ("stft-wraparound", ["stft", *BASE, "--window", "sech"], 2),
+    ("dual-not-frame", ["dual", *BASE, *BSPLINE, "--alpha", "2.25", "--beta", "0.25"], 3),
+    ("bspline-dual-beyond", ["bspline-dual", *BSPLINE, "--alpha", "0.24", "--beta", "1.9"], 3),
+    ("hrt-extension-coverage",
+     ["hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "-1.5..1.5", "--res", "24"], 3),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _floats(value, path: str = "") -> dict[str, float]:
+    """Every number in a JSON value, keyed by its dotted path.
+
+    Integers count too: the CLI prints floats with 17 significant digits,
+    so an integral float such as an integral of exactly 3 reads back as 3.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return {path: float(value)}
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return {}
+    return {key: x for k, v in items for key, x in _floats(v, k).items()}
+
+
+def _invoke(cli, name: str, argv: list[str], expect: int) -> dict:
+    outdir = os.path.join("cli-identity", name)
+    shutil.rmtree(outdir, ignore_errors=True)
+    os.makedirs(outdir)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv + ["--no-cache", "--outdir", outdir])
+    stdout = out.getvalue()
+    artifacts = {}
+    for root, _, files in os.walk(outdir):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as fh:
+                artifacts[os.path.relpath(path, outdir)] = _sha256(fh.read())
+    try:
+        result = json.loads(stdout).get("result", {})
+    except json.JSONDecodeError:
+        result = {}
+    return {
+        "name": name,
+        "argv": argv,
+        "expect": expect,
+        "exit": code,
+        "stdout_sha256": _sha256(stdout.encode()),
+        "artifacts": dict(sorted(artifacts.items())),
+        "floats": _floats(result),
+    }
+
+
+def run(workdir: str) -> int:
+    from gaborlab import cli  # before the chdir: a relative PYTHONPATH still resolves
+
+    os.makedirs(workdir, exist_ok=True)
+    os.chdir(workdir)
+    wrong = 0
+    for name, argv, expect in INVOCATIONS:
+        record = _invoke(cli, name, argv, expect)
+        print(json.dumps(record, sort_keys=True), flush=True)
+        if record["exit"] != expect:
+            print(f"{name}: exit {record['exit']}, expected {expect}", file=sys.stderr)
+            wrong += 1
+    return 1 if wrong else 0
+
+
+def _load(path: str) -> dict[str, dict]:
+    with open(path, encoding="utf-8") as fh:
+        return {rec["name"]: rec for rec in map(json.loads, filter(str.strip, fh))}
+
+
+def compare(path_a: str, path_b: str) -> list[str]:
+    """One line per difference between two runs, in invocation order of the first."""
+    a, b = _load(path_a), _load(path_b)
+    lines = [f"{name}: only in {path_b}" for name in b if name not in a]
+    for name, ra in a.items():
+        rb = b.get(name)
+        if rb is None:
+            lines.append(f"{name}: only in {path_a}")
+            continue
+        for key in ("argv", "exit", "stdout_sha256"):
+            if ra[key] != rb[key]:
+                lines.append(f"{name}: {key} {ra[key]} -> {rb[key]}")
+        for art in sorted(set(ra["artifacts"]) | set(rb["artifacts"])):
+            ha, hb = ra["artifacts"].get(art), rb["artifacts"].get(art)
+            if ha != hb:
+                state = "differs" if ha and hb else "missing on one side"
+                lines.append(f"{name}: artifact {art} {state}")
+        for key in sorted(set(ra["floats"]) | set(rb["floats"])):
+            xa, xb = ra["floats"].get(key), rb["floats"].get(key)
+            if xa != xb:
+                both = xa is not None and xb is not None
+                diff = f" (|diff| {abs(xa - xb):.3g})" if both else ""
+                lines.append(f"{name}: {key} {xa!r} -> {xb!r}{diff}")
+    return lines
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--workdir", default="cli-identity-run", help="where the outdirs go")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list where two runs differ")
+    args = ap.parse_args()
+    if args.compare:
+        lines = compare(*args.compare)
+        print("\n".join(lines) if lines else "identical")
+        return 1 if lines else 0
+    return run(args.workdir)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -298,7 +298,7 @@ def _cmd_wilson(cfg: RunConfig, p):
         "beta": system.beta,
         "n_atoms": system.n_atoms,
         "index": [list(jm) for jm in system.index],
-        "norms": [Signal(grid, values).norm for values in system.atoms],
+        "norms": np.sqrt(grid.delta * np.sum(np.abs(system.atoms) ** 2, axis=1)).tolist(),
     }
     artifacts = {
         "wilson_atoms/atoms.npy": matrix_npy(system.atoms),  # row i is atom i of the manifest

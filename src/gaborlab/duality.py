@@ -36,6 +36,8 @@ __all__ = [
     "region_expects_frame",
 ]
 
+SLICE_COND_LIMIT = 1e10  # bspline_compact_dual: slice matrices at or above this are singular
+
 
 class SingularSliceError(ValueError):
     """Some slice matrix G_m(x) is numerically singular."""
@@ -181,7 +183,6 @@ def bspline_compact_dual(
     beta: float,
     m: int | str = "auto",
     n_x: int = 1024,
-    cond_limit: float = 1e10,
 ) -> CompactSignal:
     """Compactly supported dual of the order-N B-spline at (alpha, beta).
 
@@ -217,7 +218,7 @@ def bspline_compact_dual(
     args = x[:, None, None] + offs[None, None, :] * alpha - offs[None, :, None] / beta
     G = bspline_values(N, args.reshape(-1)).reshape(n_x, q, q)
     conds = np.linalg.cond(G)
-    bad = np.where(~(conds < cond_limit))[0]
+    bad = np.where(~(conds < SLICE_COND_LIMIT))[0]
     if bad.size:
         i = int(bad[0])
         raise SingularSliceError(

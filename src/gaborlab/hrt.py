@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleGrid, Signal, inner, tf_shift, translate
+from .core import SampleGrid, Signal, tf_shift, translate
+from .windows import sample_window
 
 __all__ = [
     "Configuration",
@@ -35,11 +36,13 @@ __all__ = [
     "extension_field",
     "extension_integral",
     "far_field_radius",
+    "refinement_drift",
     "schur_identity_check",
     "InsufficientCoverageError",
 ]
 
 IND_RATIO = 1e-8  # independence threshold: lambda_min > IND_RATIO * trace/N
+COVERAGE_THRESHOLD = 1e-4  # extension_integral: largest F allowed on the domain boundary
 
 
 class InsufficientCoverageError(ValueError):
@@ -88,19 +91,19 @@ class GramianReport:
         return float(self.eigenvalues[0]) > self.independence_threshold
 
 
-def _shifted_family(g: Signal, config: Configuration) -> np.ndarray:
-    return np.asarray([tf_shift(g, p).values for p in config.points])
-
-
-def gramian(g: Signal, config: Configuration) -> GramianReport:
-    """Gramian G[k, l] = <pi(p_k) g, pi(p_l) g> with spectral summary."""
+def _family_gram(g: Signal, points) -> tuple[np.ndarray, np.ndarray]:
+    """The family pi(p_k) g, one row per point, and its Hermitian Gramian."""
     if g.norm == 0.0:
         raise ValueError("window must be nonzero")
-    fam = _shifted_family(g, config)
+    fam = np.asarray([tf_shift(g, p).values for p in points])
     G = g.grid.delta * (fam @ np.conj(fam.T))
-    G = (G + G.conj().T) / 2.0
+    return fam, (G + G.conj().T) / 2.0
+
+
+def _gram_report(G: np.ndarray) -> GramianReport:
+    """Spectral summary of a Hermitian Gramian."""
     eigs = np.linalg.eigvalsh(G)
-    n = len(config)
+    n = len(G)
     thr = IND_RATIO * float(np.trace(G).real) / n
     sigma_min = float(max(eigs[0], 0.0))
     cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
@@ -112,6 +115,11 @@ def gramian(g: Signal, config: Configuration) -> GramianReport:
         condition=cond,
         independence_threshold=thr,
     )
+
+
+def gramian(g: Signal, config: Configuration) -> GramianReport:
+    """Gramian G[k, l] = <pi(p_k) g, pi(p_l) g> with spectral summary."""
+    return _gram_report(_family_gram(g, config.points)[1])
 
 
 @dataclass(frozen=True)
@@ -128,16 +136,14 @@ class IndependenceReport:
         return abs(self.residual**2 - float(self.gram.eigenvalues[0]))
 
 
-def refinement_drift(window_spec, config: Configuration, grid: SampleGrid, factor: int = 2):
+def refinement_drift(window_spec, config: Configuration, grid: SampleGrid):
     """Smallest Gramian eigenvalue at the given grid and a refined one.
 
     Grids cannot certify independence; the drift of the smallest eigenvalue
-    under refinement (same period, delta / factor) exposes how much of the
+    under refinement (same period, delta / 2) exposes how much of the
     reported margin is discretization.  Returns (coarse, fine, drift).
     """
-    from .windows import sample_window
-
-    fine_grid = SampleGrid(grid.L * factor, grid.delta / factor)
+    fine_grid = SampleGrid(grid.L * 2, grid.delta / 2)
     coarse = float(gramian(sample_window(window_spec, grid).unit(), config).eigenvalues[0])
     fine = float(gramian(sample_window(window_spec, fine_grid).unit(), config).eigenvalues[0])
     drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
@@ -146,9 +152,9 @@ def refinement_drift(window_spec, config: Configuration, grid: SampleGrid, facto
 
 def independence_probe(g: Signal, config: Configuration) -> IndependenceReport:
     """Smallest-eigenvalue witness of near-dependence for the shift family."""
-    fam = _shifted_family(g, config)
-    rep = gramian(g, config)
-    w, U = np.linalg.eigh(rep.G)
+    fam, G = _family_gram(g, config.points)
+    rep = _gram_report(G)
+    w, U = np.linalg.eigh(G)
     # || sum_k c_k phi_k ||^2 = c^H conj(G) c, so the minimizing coefficients
     # are the conjugate of the smallest eigenvector of G
     c = np.conj(U[:, 0])
@@ -191,7 +197,6 @@ def _equispaced_on_line(pts: np.ndarray, tol: float) -> bool:
 def classify_configuration(
     config: Configuration,
     lattice_matrix: np.ndarray | None = None,
-    lattice_offset: tuple[float, float] = (0.0, 0.0),
     tol: float = 1e-9,
 ) -> list[str]:
     """All applicable geometric labels of a configuration.
@@ -201,8 +206,8 @@ def classify_configuration(
     collinear); "two_two" (four points, two per parallel line);
     "symmetric_three_two" (five points: an equispaced symmetric collinear
     triple plus a mirror pair on a parallel line); "lattice_subset" when a
-    full-rank ``lattice_matrix`` A (and offset z) is supplied and every
-    point lies in A Z^2 + z.
+    full-rank ``lattice_matrix`` A is supplied and every point lies in the
+    translate p_0 + A Z^2 through the first point.
     """
     pts = config.array()
     n = len(pts)
@@ -247,8 +252,7 @@ def classify_configuration(
 
     if lattice_matrix is not None:
         A = np.asarray(lattice_matrix, dtype=float)
-        z = np.asarray(lattice_offset, dtype=float)
-        coords = np.linalg.solve(A, (pts - z).T).T
+        coords = np.linalg.solve(A, (pts - pts[0]).T).T
         if np.all(np.abs(coords - np.rint(coords)) <= 1e-9):
             labels.append("lattice_subset")
 
@@ -353,20 +357,13 @@ class ExtensionField:
     b_grid: np.ndarray
     F: np.ndarray = field(repr=False)  # shape (len(b_grid), len(a_grid))
     base_gram: np.ndarray = field(repr=False)
-    normalization: NormalizationRecord | None
+    normalization: NormalizationRecord
 
     @property
     def cell_area(self) -> float:
         da = float(self.a_grid[1] - self.a_grid[0])
         db = float(self.b_grid[1] - self.b_grid[0])
         return da * db
-
-
-def _ensure_normal_base(base: Configuration) -> tuple[Configuration, NormalizationRecord | None]:
-    if _contains_normal_triple(base.array()):
-        return base, None
-    normalized, record = normalize_configuration(base)
-    return normalized, record
 
 
 def extension_field(
@@ -386,11 +383,9 @@ def extension_field(
         raise ValueError("base configuration must have exactly three points")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    base, record = _ensure_normal_base(base)
+    base, record = normalize_configuration(base)
     g = g.unit()
-    fam = _shifted_family(g, base)
-    A = g.grid.delta * (fam @ np.conj(fam.T))
-    A = (A + A.conj().T) / 2.0
+    fam, A = _family_gram(g, base.points)
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 1e-12 * eigs[-1]:
         raise ValueError(f"base Gramian is not positive definite (eigs {eigs})")
@@ -401,27 +396,23 @@ def extension_field(
 
     x = g.grid.x()
     E = np.exp(-2j * np.pi * np.outer(b_grid, x))  # (n_b, L)
-    gq = g.values
-    U = np.empty((3, len(b_grid), len(a_grid)), dtype=np.complex128)
-    for ja, a in enumerate(a_grid):
-        shifted = translate(g, a).values
-        for k in range(3):
-            w = fam[k] * np.conj(shifted)
-            U[k, :, ja] = g.grid.delta * (E @ w)
+    conj_shifted = np.conj([translate(g, a).values for a in a_grid])  # (n_a, L)
+    # U[k, i, j] = delta * sum_x E[i, x] fam[k, x] conj(T_{a_j} g)(x): one product per base point
+    U = np.stack([g.grid.delta * (E @ (fam[k] * conj_shifted).T) for k in range(3)])
     F = np.einsum("kij,kl,lij->ij", np.conj(U), Ainv, U).real
     return ExtensionField(
         base=base, a_grid=a_grid, b_grid=b_grid, F=F, base_gram=A, normalization=record
     )
 
 
-def extension_integral(field: ExtensionField, coverage_threshold: float = 1e-4) -> float:
+def extension_integral(field: ExtensionField) -> float:
     """Riemann sum of F times cell area; requires decayed boundary values."""
     F = field.F
     boundary = np.concatenate([F[0, :], F[-1, :], F[:, 0], F[:, -1]])
     worst = float(np.max(boundary))
-    if worst > coverage_threshold:
+    if worst > COVERAGE_THRESHOLD:
         raise InsufficientCoverageError(
-            f"boundary max F = {worst:.3e} exceeds {coverage_threshold:g}; "
+            f"boundary max F = {worst:.3e} exceeds {COVERAGE_THRESHOLD:g}; "
             "enlarge the domain to cover the effective support"
         )
     return float(np.sum(F) * field.cell_area)
@@ -445,10 +436,7 @@ def schur_identity_check(g: Signal, base: Configuration, point: tuple[float, flo
     if len(base) != 3:
         raise ValueError("base configuration must have exactly three points")
     g = g.unit()
-    pts = base.points + (tuple(point),)
-    fam = np.asarray([tf_shift(g, p).values for p in pts])
-    G = g.grid.delta * (fam @ np.conj(fam.T))
-    G = (G + G.conj().T) / 2.0
+    G = _family_gram(g, base.points + (tuple(point),))[1]
     A = G[:3, :3]
     u = G[:3, 3]
     F = float(np.real(np.conj(u) @ np.linalg.solve(A, u)))

@@ -111,12 +111,10 @@ def write_pgm_bytes(values: np.ndarray, ref: float) -> bytes:
     return header + pix.tobytes()
 
 
-def framemap_pgm(fmap, a_ref: float | None = None) -> bytes:
-    """Grayscale map of the lower frame bound, beta increasing upward."""
-    if a_ref is None:
-        finite = fmap.A[np.isfinite(fmap.A)]
-        a_ref = float(finite.max()) if finite.size else 1.0
-    return write_pgm_bytes(fmap.A[::-1, :], a_ref)
+def framemap_pgm(fmap) -> bytes:
+    """Grayscale map of the lower frame bound, beta increasing upward, white at its maximum."""
+    finite = fmap.A[np.isfinite(fmap.A)]
+    return write_pgm_bytes(fmap.A[::-1, :], float(finite.max()) if finite.size else 1.0)
 
 
 def field_csv(field) -> str:
@@ -129,8 +127,9 @@ def field_csv(field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def field_pgm(field, ref: float = 1.0) -> bytes:
-    return write_pgm_bytes(field.F[::-1, :], ref)
+def field_pgm(field) -> bytes:
+    """Grayscale map of the extension field, b increasing upward, white at F = 1."""
+    return write_pgm_bytes(field.F[::-1, :], 1.0)
 
 
 @functools.lru_cache(maxsize=8)

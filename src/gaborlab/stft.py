@@ -32,6 +32,8 @@ from .lattices import Lattice
 
 __all__ = ["PhaseSpaceField", "stft", "stft_energy", "stft_invert", "NearOrthogonalPairError"]
 
+MIN_OVERLAP = 1e-10  # stft_invert rejects window pairs with |<g,h>| below this
+
 
 class NearOrthogonalPairError(ValueError):
     """<g, h> is too small for the 1/<g,h> inversion weight."""
@@ -91,21 +93,21 @@ def stft_energy(V: PhaseSpaceField) -> float:
     return float(V.cell_area * np.sum(np.abs(V.values) ** 2))
 
 
-def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal, min_overlap: float = 1e-10) -> Signal:
+def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal) -> Signal:
     """Weak-sense inversion: (1/<h,g>) * sum V[n,k] M_{xi_k} T_{x_n} h.
 
     Any h with <g, h> != 0 works; the synthesis weight is the conjugate
     pairing <h, g>, which makes the discrete reconstruction exact.  Pairs
-    with |<g,h>| below ``min_overlap`` are rejected because the 1/<g,h>
+    with |<g,h>| below ``MIN_OVERLAP`` are rejected because the 1/<g,h>
     factor blows up.  V is synthesised as it stands with h rolled by -j0,
     and only the length-L result is multiplied by the signs (-1)^(j - j0).
     """
     if g.grid != V.grid or h.grid != V.grid:
         raise GridMismatchError("window grids must match the field grid")
     c = inner(h, g)
-    if abs(c) < min_overlap:
+    if abs(c) < MIN_OVERLAP:
         raise NearOrthogonalPairError(
-            f"|<g,h>| = {abs(c):.3e} is below {min_overlap:g}; the 1/<g,h> "
+            f"|<g,h>| = {abs(c):.3e} is below {MIN_OVERLAP:g}; the 1/<g,h> "
             "weight in the inversion formula diverges for near-orthogonal pairs"
         )
     grid = V.grid

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SampleGrid, Signal, fourier
-from .frames import canonical_tight, frame_bounds
+from .frames import _rolled_windows, canonical_tight
 from .lattices import Lattice
 from .windows import WindowSpec, sample_window
 from .zak import zak_tightness
@@ -45,6 +45,7 @@ __all__ = [
     "WilsonOnbReport",
     "zak_onb_criterion",
     "ZakOnbReport",
+    "taper_wilson_window",
 ]
 
 
@@ -97,7 +98,7 @@ def make_wilson_window(
 
 
 def _check_beta(beta: float, grid: SampleGrid) -> tuple[int, int, int]:
-    """Return (shift_samples, n_half_positions, nyq) for the general builder."""
+    """Return (shift_samples, n_half_positions, nyq) for time step beta."""
     s_f = beta / grid.delta
     if abs(s_f - round(s_f)) > 1e-9:
         raise ValueError(f"beta={beta:g} shifts are not grid-aligned")
@@ -112,77 +113,58 @@ def _check_beta(beta: float, grid: SampleGrid) -> tuple[int, int, int]:
     return s, J, int(round(nyq_f))
 
 
+def _assemble(g: Signal, beta: float, variant: str, m0, row, nyq_carrier) -> WilsonSystem:
+    """Stack the m = 0 block, the rows m = 1..nyq-1 and the Nyquist block in (j, m) order.
+
+    R[j] is g translated by j beta, a read-only view of the Lattice(s, 1)
+    windows.  ``m0`` maps the even translates to the m = 0 block,
+    ``row(m, j)`` gives the (J, L) carriers of row m, and the Nyquist block
+    is ``nyq_carrier(nyq)`` times the translates of the Nyquist parity.
+    """
+    s, J, nyq = _check_beta(beta, g.grid)
+    R = _rolled_windows(g.values, Lattice(s, 1, g.grid))
+    j = np.arange(J)
+    j_nyq = j[nyq % 2 :: 2]
+    atoms = [m0(R[::2])] + [row(m, j) * R for m in range(1, nyq)] + [nyq_carrier(nyq) * R[j_nyq]]
+    js = [j[: J // 2]] + [j] * (nyq - 1) + [j_nyq]
+    ms = [np.full(len(block), m) for m, block in enumerate(js)]
+    return WilsonSystem(
+        beta=beta,
+        variant=variant,
+        grid=g.grid,
+        atoms=np.concatenate(atoms),
+        index=tuple(zip(np.concatenate(js).tolist(), np.concatenate(ms).tolist())),
+    )
+
+
 def build_wilson_classical(g: Signal) -> WilsonSystem:
     """Classical Wilson system (beta = 1/2) from a window on the same grid."""
-    grid = g.grid
-    half_f = 1.0 / (2.0 * grid.delta)
-    if abs(half_f - round(half_f)) > 1e-9:
-        raise ValueError("half-integer shifts need 1/(2 delta) integral")
-    half = int(round(half_f))
-    if abs(grid.T - round(grid.T)) > 1e-9:
-        raise ValueError("period T must be an integer")
-    T = int(round(grid.T))
-    nyq = half  # highest representable integer frequency, 1/(2 delta)
-    x = grid.x()
-    atoms = []
-    index = []
-    gv = g.values
-    for j in range(T):
-        atoms.append(np.roll(gv, (j * 2 * half) % grid.L))
-        index.append((j, 0))
-    for m in range(1, nyq):
-        cosm = np.sqrt(2.0) * np.cos(2 * np.pi * m * x)
-        sinm = np.sqrt(2.0) * np.sin(2 * np.pi * m * x)
-        for j in range(2 * T):
-            carrier = cosm if (j + m) % 2 == 0 else sinm
-            atoms.append(carrier * np.roll(gv, (j * half) % grid.L))
-            index.append((j, m))
-    nyq_carrier = np.cos(2 * np.pi * nyq * x)  # = +-1 pointwise on the grid
-    j_start = 0 if nyq % 2 == 0 else 1
-    for j in range(j_start, 2 * T, 2):
-        atoms.append(nyq_carrier * np.roll(gv, (j * half) % grid.L))
-        index.append((j, nyq))
-    return WilsonSystem(
-        beta=0.5,
-        variant="classical",
-        grid=grid,
-        atoms=np.asarray(atoms),
-        index=tuple(index),
-    )
+    x = g.grid.x()
+
+    def row(m, j):
+        cos_sin = np.sqrt(2.0) * np.stack([np.cos(2 * np.pi * m * x), np.sin(2 * np.pi * m * x)])
+        return cos_sin[(j + m) % 2]  # cos where j + m is even, sin where it is odd
+
+    def nyq_carrier(nyq):
+        return np.cos(2 * np.pi * nyq * x)  # = +-1 pointwise on the grid
+
+    return _assemble(g, 0.5, "classical", lambda even: even, row, nyq_carrier)
 
 
 def build_wilson_general(g: Signal, beta: float) -> WilsonSystem:
     """Generalized Wilson system with time step beta in [1/4, 1/2]."""
-    grid = g.grid
-    s, J, nyq = _check_beta(beta, grid)
-    x = grid.x()
-    gv = g.values
-    atoms = []
-    index = []
-    for j in range(J // 2):
-        atoms.append(np.sqrt(2 * beta) * np.roll(gv, (2 * j * s) % grid.L))
-        index.append((j, 0))
-    root_beta = np.sqrt(beta)
-    for m in range(1, nyq):
+    x = g.grid.x()
+
+    def row(m, j):
         plus = np.exp(2j * np.pi * m * x)
-        for j in range(J):
-            w = np.exp(-2j * np.pi * beta * j * m)
-            sgn = 1.0 if (j + m) % 2 == 0 else -1.0
-            shifted = np.roll(gv, (j * s) % grid.L)
-            atoms.append(root_beta * (w * plus + sgn * np.conj(w) * np.conj(plus)) * shifted)
-            index.append((j, m))
-    nyq_carrier = np.exp(2j * np.pi * nyq * x)  # = +-1 pointwise
-    j_start = 0 if nyq % 2 == 0 else 1
-    for j in range(j_start, J, 2):
-        atoms.append(np.sqrt(2 * beta) * nyq_carrier * np.roll(gv, (j * s) % grid.L))
-        index.append((j, nyq))
-    return WilsonSystem(
-        beta=beta,
-        variant="general",
-        grid=grid,
-        atoms=np.asarray(atoms),
-        index=tuple(index),
-    )
+        w = np.exp(-2j * np.pi * beta * j * m)[:, None]
+        sgn = np.where((j + m) % 2 == 0, 1.0, -1.0)[:, None]
+        return np.sqrt(beta) * (w * plus + sgn * np.conj(w) * np.conj(plus))
+
+    def nyq_carrier(nyq):
+        return np.sqrt(2 * beta) * np.exp(2j * np.pi * nyq * x)  # sqrt(2 beta) times +-1
+
+    return _assemble(g, beta, "general", lambda even: np.sqrt(2 * beta) * even, row, nyq_carrier)
 
 
 def wilson_parseval_residual(system: WilsonSystem) -> float:

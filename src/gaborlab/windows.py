@@ -195,7 +195,7 @@ def window_values(spec: WindowSpec, x: np.ndarray) -> np.ndarray:
     if spec.family == "exp_two_sided":
         return np.exp(-np.abs(x))
     if spec.family == "exp_one_sided":
-        return np.where(x >= 0, np.exp(-np.minimum(np.abs(x), 700.0)), 0.0) * (x >= 0)
+        return np.where(x >= 0, np.exp(-np.minimum(np.abs(x), 700.0)), 0.0)
     if spec.family == "indicator":
         c = float(spec.param)
         return ((x >= 0) & (x < c)).astype(float)

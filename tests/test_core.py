@@ -147,3 +147,19 @@ def test_fourier_indicator_is_sinc(grid):
     # half-open sampling biases the jump samples; accuracy is O(delta) overall
     assert np.max(np.abs(F.values - ref)) < 0.05
     assert np.max(np.abs(F.values[:: grid.L // 8] - ref[:: grid.L // 8])) < 0.05
+
+
+def test_package_exports_are_in_module_all():
+    # every name the package re-exports from a submodule is public there too
+    import ast
+    import importlib
+
+    import gaborlab
+
+    tree = ast.parse(open(gaborlab.__file__).read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"gaborlab.{node.module}")
+        missing = [alias.name for alias in node.names if alias.name not in module.__all__]
+        assert not missing, f"gaborlab.{node.module}.__all__ lacks {missing}"

@@ -21,7 +21,10 @@ from gaborlab import (
     normalize_configuration,
     sample_window,
     schur_identity_check,
+    tf_shift,
+    translate,
 )
+from gaborlab import hrt
 from gaborlab.hrt import InsufficientCoverageError
 
 GRID = SampleGrid(1024, 1 / 32)
@@ -116,6 +119,14 @@ def test_classify_two_two_and_lattice():
     assert "two_two" in labels
     assert "lattice_subset" in labels
     assert "one_three" not in labels
+
+
+def test_classify_translated_lattice_subset():
+    # the lattice translate is taken through the first point
+    cfg = Configuration(((0.5, 0.25), (0.5, 1.25), (2.5, 0.25), (-0.5, 3.25)))
+    assert "lattice_subset" in classify_configuration(cfg, lattice_matrix=np.eye(2))
+    off = Configuration(((0.5, 0.25), (0.5, 1.25), (2.5, 0.5)))
+    assert "lattice_subset" not in classify_configuration(off, lattice_matrix=np.eye(2))
 
 
 def test_classify_one_three_with_equispaced_part():
@@ -229,11 +240,55 @@ def test_far_field_decay(field):
     assert far_field_radius(field, 1e-4) < 5.0
 
 
-def test_extension_field_normalizes_base(g):
+def test_extension_field_normalizes_base(g, field):
     shifted_base = Configuration(((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)))
     f2 = extension_field(g, shifted_base, domain=(-4, 4), resolution=48)
-    assert f2.normalization is not None
+    assert f2.normalization.offset == (1.0, 1.0)
     assert set(f2.base.points) == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)}
+    # an already normal base keeps its points under the identity record
+    assert field.base == BASE
+    assert np.array_equal(field.normalization.matrix, np.eye(2))
+    assert field.normalization.scale == 1.0 and field.normalization.offset == (0.0, 0.0)
+
+
+def _extension_per_column(g, base, domain, resolution):
+    """F and the base Gramian with one (n_b x L) matrix-vector product per (column, point)."""
+    g = g.unit()
+    fam = np.asarray([tf_shift(g, p).values for p in base.points])
+    A = g.grid.delta * (fam @ np.conj(fam.T))
+    A = (A + A.conj().T) / 2.0
+    a_grid = domain[0] + (domain[1] - domain[0]) * (np.arange(resolution) + 0.5) / resolution
+    E = np.exp(-2j * np.pi * np.outer(a_grid, g.grid.x()))
+    U = np.empty((3, resolution, resolution), dtype=np.complex128)
+    for ja, a in enumerate(a_grid):
+        shifted = translate(g, a).values
+        for k in range(3):
+            U[k, :, ja] = g.grid.delta * (E @ (fam[k] * np.conj(shifted)))
+    F = np.einsum("kij,kl,lij->ij", np.conj(U), np.linalg.inv(A), U).real
+    return F, A
+
+
+@pytest.mark.parametrize("base", [BASE, Configuration(((0.0, 0.0), (0.0, 1.0), (0.37, 0.0)))])
+def test_extension_field_matches_per_column_build(g, base):
+    # fractional a-shifts (0.37 and most grid columns) take the DFT-ramp path of translate
+    F, A = _extension_per_column(g, base, (-6.0, 6.0), 60)
+    ext = extension_field(g, base, domain=(-6.0, 6.0), resolution=60)
+    assert np.array_equal(ext.base_gram, A)
+    assert np.max(np.abs(ext.F - F)) <= 1e-13
+
+
+def test_independence_probe_shifts_each_point_once(g, monkeypatch):
+    calls = []
+
+    def counting(f, point):
+        calls.append(point)
+        return tf_shift(f, point)
+
+    monkeypatch.setattr(hrt, "tf_shift", counting)
+    cfg = Configuration(((0, 0), (0.4, 0.9), (1.2, -0.3), (-0.5, 0.2)))
+    probe = independence_probe(g, cfg)
+    assert calls == list(cfg.points)
+    assert probe.rayleigh_gap < 1e-10
 
 
 def test_schur_identity_random_windows(rng):

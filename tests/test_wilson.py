@@ -249,3 +249,73 @@ def test_unrepresentable_beta_rejected(grid):
         build_wilson_general(make_wilson_window(WindowSpec("gaussian"), 0.5, grid), 11 / 32)
     with pytest.raises(ValueError):
         make_wilson_window(WindowSpec("gaussian"), 1 / 3, grid)  # 1/3 not on this grid
+
+
+# Per-atom reference builders: one np.roll and one append per atom.
+
+
+def _classical_per_atom(g):
+    grid = g.grid
+    half = int(round(1.0 / (2.0 * grid.delta)))
+    T = int(round(grid.T))
+    x, gv = grid.x(), g.values
+    atoms, index = [], []
+    for j in range(T):
+        atoms.append(np.roll(gv, (j * 2 * half) % grid.L))
+        index.append((j, 0))
+    for m in range(1, half):
+        cosm = np.sqrt(2.0) * np.cos(2 * np.pi * m * x)
+        sinm = np.sqrt(2.0) * np.sin(2 * np.pi * m * x)
+        for j in range(2 * T):
+            carrier = cosm if (j + m) % 2 == 0 else sinm
+            atoms.append(carrier * np.roll(gv, (j * half) % grid.L))
+            index.append((j, m))
+    nyq_carrier = np.cos(2 * np.pi * half * x)
+    for j in range(half % 2, 2 * T, 2):
+        atoms.append(nyq_carrier * np.roll(gv, (j * half) % grid.L))
+        index.append((j, half))
+    return np.asarray(atoms), tuple(index)
+
+
+def _general_per_atom(g, beta):
+    grid = g.grid
+    s = int(round(beta / grid.delta))
+    J = int(round(grid.T / beta))
+    nyq = int(round(1.0 / (2.0 * grid.delta)))
+    x, gv = grid.x(), g.values
+    atoms, index = [], []
+    for j in range(J // 2):
+        atoms.append(np.sqrt(2 * beta) * np.roll(gv, (2 * j * s) % grid.L))
+        index.append((j, 0))
+    for m in range(1, nyq):
+        plus = np.exp(2j * np.pi * m * x)
+        for j in range(J):
+            w = np.exp(-2j * np.pi * beta * j * m)
+            sgn = 1.0 if (j + m) % 2 == 0 else -1.0
+            shifted = np.roll(gv, (j * s) % grid.L)
+            atoms.append(np.sqrt(beta) * (w * plus + sgn * np.conj(w) * np.conj(plus)) * shifted)
+            index.append((j, m))
+    nyq_carrier = np.exp(2j * np.pi * nyq * x)
+    for j in range(nyq % 2, J, 2):
+        atoms.append(np.sqrt(2 * beta) * nyq_carrier * np.roll(gv, (j * s) % grid.L))
+        index.append((j, nyq))
+    return np.asarray(atoms), tuple(index)
+
+
+def test_classical_blocks_equal_per_atom_build(tight_half_small):
+    W = build_wilson_classical(tight_half_small)
+    atoms, index = _classical_per_atom(tight_half_small)
+    assert W.atoms.dtype == atoms.dtype
+    assert np.array_equal(W.atoms, atoms)
+    assert W.index == index
+
+
+@pytest.mark.parametrize("beta,L,delta_inv", [(0.25, 256, 16), (0.375, 768, 16), (0.5, 256, 16)])
+def test_general_blocks_equal_per_atom_build(beta, L, delta_inv):
+    grid = SampleGrid(L, 1.0 / delta_inv)
+    w = make_wilson_window(WindowSpec("gaussian"), beta, grid)
+    W = build_wilson_general(w, beta)
+    atoms, index = _general_per_atom(w, beta)
+    assert W.atoms.dtype == atoms.dtype
+    assert np.array_equal(W.atoms, atoms)
+    assert W.index == index
