@@ -29,6 +29,8 @@ BSPLINE = ["--window", "bspline:2"]
 EXT = ["--base", "0,0;0,1;1,0", "--domain", "-6..6"]
 STFT_SIGNAL = ["--signal-window", "indicator:1.5"]
 QUESTION = "0,0;0,1;1,0;1.4142135623730951,1.4142135623730951"
+# a = 32, b = 18 at L = 864: P = 48, p = 2, q = 9, so the symbol wraps quasi-periodically
+REDUCED = ["--L", "864", "--alpha", "1", "--beta", "0.6666666666666666"]
 
 # (name, argv, expected exit code)
 INVOCATIONS = [
@@ -38,6 +40,9 @@ INVOCATIONS = [
      ["framebounds", "--L", "4096", "--delta", "0.015625", "--alpha", "2", "--beta", "32"], 0),
     ("dual", ["dual", "--alpha", "0.5", "--beta", "1"], 0),
     ("tight", ["tight", *BASE, "--alpha", "0.5", "--beta", "1.5"], 0),
+    ("framebounds-reduced", ["framebounds", *REDUCED], 0),
+    ("dual-reduced", ["dual", *REDUCED], 0),
+    ("tight-reduced", ["tight", *REDUCED], 0),
     ("janssen", ["janssen", "--window", "bspline:3", "--alpha", "1", "--beta", "0.6"], 0),
     ("bspline-dual", ["bspline-dual", *BSPLINE, "--alpha", "1", "--beta", "0.7"], 0),
     ("scan", ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "16"], 0),

@@ -1,25 +1,14 @@
 """Lattice Gabor systems: analysis, synthesis, frame operator and windows.
 
-The frame operator of a separable lattice couples only grid indices that
-agree modulo P = L/b; its entries come from the a x b Walnut table
-
-    W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]),  i < a, d < b,
-
-as S[i, i + d P] = delta * P * W[i mod a, d], which costs O(L b) to build.
-S splits into P blocks of size b x b: block r acts on {r + s P : s < b}
-and depends on r only modulo a.  Let p = a / gcd(a, P) and q = b / p; p
-divides b, since a divides L = b P and a / gcd(a, P) is prime to
-P / gcd(a, P).  As p P is a multiple of a, each block commutes with the
-cyclic shift of s by p, so a length-q FFT turns it into q Hermitian p x p
-matrices, the discrete Zibulski-Zeevi symbol.  Row r holds
-
-    C_l[u, v] = sum_m delta P W[(r + u P) mod a, (v - u + m p) mod b] e^{2 pi i l m / q}.
-
-Block (r + P) mod a is block r shifted by one, so rows r < gcd(a, P) carry
-every eigenvalue of S; the bounds solve only those, and use the adjoint
-lattice when a b > L (see :func:`frame_bounds`).  Dual and tight windows
-build rows r < min(a, P) once and solve, or take the inverse square root
-of, p x p matrices.
+Frame bounds, dual and tight windows come from the discrete Zibulski-Zeevi
+symbol of :mod:`gaborlab.zak`, built from one Zak transform of g: for each
+row r and frequency l, a Hermitian p x p matrix with p = a / gcd(a, P) and
+P = L/b.  The bounds eigensolve rows r < gcd(a, P), which carry every
+eigenvalue of S, and use the adjoint lattice when a b > L (see
+:func:`frame_bounds`).  Dual and tight windows build rows r < min(a, P)
+once and solve, or take the inverse square root of, the p x p matrices in
+the same Zak domain.  :func:`frame_matrix` assembles the dense operator
+from the Walnut table instead, as the reference for small L.
 
 :func:`analysis` and :func:`synthesis` are the one time-frequency core of
 the package: the full phase-space STFT of :mod:`gaborlab.stft` is the
@@ -35,6 +24,7 @@ import numpy as np
 
 from .core import GridMismatchError, Signal
 from .lattices import Lattice
+from .zak import _signal_layout, _symbol, _symbol_layout
 
 __all__ = [
     "FrameReport",
@@ -149,45 +139,18 @@ def frame_apply(g: Signal, lat: Lattice, f: Signal) -> Signal:
     return synthesis(g, lat, analysis(g, lat, f))
 
 
-def _walnut_table(g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """delta P W[i, d], W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]) for i < a, d < b."""
-    a, P = lat.a, lat.n_freq
-    gc = np.conj(g)
-    W = np.empty((a, lat.b), dtype=np.complex128)
-    for d in range(lat.b):  # one O(L) pass per column, no (b, L) temporary
-        W[:, d] = (g * np.roll(gc, -d * P)).reshape(lat.n_time, a).sum(axis=0)
-    return lat.grid.delta * P * W
-
-
-def _symbol(g: np.ndarray, lat: Lattice, rows: int) -> np.ndarray:
-    """The symbol of rows r < ``rows``: shape (rows, q, p, p), one p x p matrix per (r, l)."""
-    a, b, P = lat.a, lat.b, lat.n_freq
-    p = a // gcd(a, P)
-    W = _walnut_table(g, lat)
-    u = np.arange(p)
-    i = (np.arange(rows)[:, None] + u * P) % a  # i[r, u] = (r + u P) mod a
-    d = (u - u[:, None])[..., None] + p * np.arange(b // p)  # d[u, v, m] = v - u + m p
-    return (b // p) * np.fft.ifft(W[i[:, :, None, None], d % b]).transpose(0, 3, 1, 2)
-
-
-def _symbol_layout(v: np.ndarray, lat: Lattice) -> np.ndarray:
-    """x[r, l, u]: the length-q DFT over k of v[r + (u + k p) P]."""
-    p = lat.a // gcd(lat.a, lat.n_freq)
-    return np.fft.fft(v.reshape(-1, p, lat.n_freq), axis=0).transpose(2, 0, 1)
-
-
-def _signal_layout(x: np.ndarray, lat: Lattice) -> Signal:
-    """Inverse of :func:`_symbol_layout`."""
-    return Signal(lat.grid, np.fft.ifft(x.transpose(1, 2, 0), axis=0).reshape(-1))
-
-
 def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
-    """The dense L x L frame operator, S[j, j + d P] = delta P W[j mod a, d] (small L only)."""
+    """The dense L x L frame operator S[j, j + d P] = delta P W[j mod a, d] (small L only).
+
+    W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]) is the Walnut table.
+    """
     _check(g, lat)
     L, P = lat.grid.L, lat.n_freq
+    rolled = (g.values * np.roll(np.conj(g.values), -d * P) for d in range(lat.b))
+    W = np.stack([v.reshape(lat.n_time, lat.a).sum(axis=0) for v in rolled], axis=1)
     j, d = np.arange(L)[:, None], np.arange(lat.b)
     S = np.zeros((L, L), dtype=np.complex128)
-    S[j, (j + d * P) % L] = _walnut_table(g.values, lat)[j % lat.a, d]
+    S[j, (j + d * P) % L] = lat.grid.delta * P * W[j % lat.a, d]
     return S
 
 
@@ -198,8 +161,8 @@ def _frame_report(eigs: np.ndarray, lat: Lattice) -> FrameReport:
 def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
     """Optimal frame bounds A, B: the extreme eigenvalues of the symbol.
 
-    The symbol rows r < gcd(a, P), q matrices of size p each (p divides b,
-    see the module docstring), carry every eigenvalue of S.  When a b > L
+    The symbol rows r < gcd(a, P), q matrices of size p each (see
+    :mod:`gaborlab.zak`), carry every eigenvalue of S.  When a b > L
     the system has L^2 / (a b) < L atoms, so S is singular and A = 0.  By
     Ron-Shen duality the nonzero spectrum of S is then that of the adjoint
     lattice (L/b, L/a), scaled by L / (a b); that lattice has a b < L.  So

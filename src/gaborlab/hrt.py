@@ -383,6 +383,8 @@ def extension_field(
         raise ValueError("base configuration must have exactly three points")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if not domain[0] < domain[1]:
+        raise ValueError(f"domain needs lo < hi, got {domain[0]:g}..{domain[1]:g}")
     base, record = normalize_configuration(base)
     g = g.unit()
     fam, A = _family_gram(g, base.points)

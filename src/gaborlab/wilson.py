@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import SampleGrid, Signal, fourier
 from .frames import _rolled_windows, canonical_tight
-from .lattices import Lattice
+from .lattices import Lattice, make_lattice
 from .windows import WindowSpec, sample_window
 from .zak import zak_tightness
 
@@ -64,17 +64,6 @@ class WilsonSystem:
         return self.atoms.shape[0]
 
 
-def _wilson_lattice(beta: float, grid: SampleGrid) -> Lattice:
-    a_f = beta / grid.delta
-    b_f = grid.T
-    a, b = round(a_f), round(b_f)
-    if abs(a_f - a) > 1e-9 or abs(b_f - b) > 1e-9:
-        raise ValueError(
-            f"lattice for beta={beta:g} is not representable on this grid"
-        )
-    return Lattice(int(a), int(b), grid)
-
-
 def make_wilson_window(
     g: Signal | WindowSpec,
     beta: float,
@@ -92,7 +81,7 @@ def make_wilson_window(
         if grid is None:
             raise ValueError("grid is required when passing a WindowSpec")
         g = sample_window(g, grid, wrap_tol=wrap_tol)
-    lat = _wilson_lattice(beta, g.grid)
+    lat, _, _ = make_lattice(g.grid, beta, 1.0, snap_tol=1e-9 * g.grid.delta)
     tight = canonical_tight(g, lat)
     return tight.unit()
 

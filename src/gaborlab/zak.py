@@ -1,22 +1,36 @@
-"""Discrete Zak transform and the Zak-domain tightness criterion.
+"""Discrete Zak transform and the Zibulski-Zeevi symbol of lattice frame operators.
 
 zak(f, K) computes Z[n, k] = sum_m f[(n + m K) mod L] e^{2 pi i m k / M}
 with M = L/K, a unitary map (up to the stated weight) from C^L onto the
-K x M Zak grid.  A half-critical lattice (time step 1/delta samples,
-frequency step T/2 bins) has a frame operator that is pointwise
-multiplication in the Zak domain; its symbol combines |Zg|^2 with the
-half-quasiperiod shift in the FIRST (time) slot.  Flatness of the symbol is
-equivalent to tightness and the flat value is the frame bound.
+K x M Zak grid.  Z is quasi-periodic in n: Z[n - K, k] = e^{2 pi i k / M} Z[n, k].
+
+A lattice with steps (a, b) has P = L/b, p = a / gcd(a, P) and q = b / p;
+p divides b, since a divides L = b P and a / gcd(a, P) is prime to
+P / gcd(a, P).  With K = lcm(a, P) = p P the Zak grid is K x q, and the
+frame operator acts on the p values Zf[r + u P, l], u < p, of each row
+r < P and frequency l < q as the Hermitian p x p matrix (Zibulski & Zeevi,
+ACHA 1997)
+
+    C_l[u, v] = delta P sum_{n < K/a} Zg[r + u P - n a, l] conj(Zg[r + v P - n a, l]),
+
+the discrete symbol, with Zg extended to negative n by quasi-periodicity.
+C depends on r only modulo a, so rows r < min(a, P) hold every matrix
+that acts on the rows r < P; row r + P is row r with u shifted cyclically,
+so rows r < gcd(a, P) carry every eigenvalue of S.  The half-critical lattice
+(alpha, beta) = (1, 1/2) has p = 1: its symbol is the scalar
+delta P (|Zg[r, l]|^2 + |Zg[r + a, l]|^2), which is flat exactly when the
+system is tight (:func:`zak_tightness`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
 from .core import Signal
-from .lattices import Lattice
+from .lattices import Lattice, make_lattice
 
 __all__ = ["ZakMatrix", "zak", "ZakTightnessReport", "zak_tightness"]
 
@@ -38,15 +52,50 @@ class ZakMatrix:
         return float(self.grid_delta / self.M * np.sum(np.abs(self.values) ** 2))
 
 
+def _zak(v: np.ndarray, K: int) -> np.ndarray:
+    """Z[n, k] of the samples v with time factor K, shape (K, L/K)."""
+    return np.fft.ifft(v.reshape(-1, K), axis=0, norm="forward").T  # rows m: v[n + m K]
+
+
+def _unzak(Z: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_zak`."""
+    return np.fft.fft(Z, axis=1, norm="forward").T.reshape(-1)
+
+
 def zak(f: Signal, K: int) -> ZakMatrix:
     """Discrete Zak transform with time factor K (K must divide L)."""
     L = f.grid.L
     if not (1 <= K <= L and L % K == 0):
         raise ValueError(f"K={K} must divide L={L}")
-    M = L // K
-    arr = f.values.reshape(M, K)  # arr[m, n] = f[n + m K]
-    Z = (M * np.fft.ifft(arr, axis=0)).T  # Z[n, k]
-    return ZakMatrix(values=Z, K=K, grid_delta=f.grid.delta)
+    return ZakMatrix(values=_zak(f.values, K), K=K, grid_delta=f.grid.delta)
+
+
+def _order(lat: Lattice) -> int:
+    """p = a / gcd(a, P), the size of the symbol matrices."""
+    return lat.a // gcd(lat.a, lat.n_freq)
+
+
+def _symbol(g: np.ndarray, lat: Lattice, rows: int) -> np.ndarray:
+    """The symbol of rows r < ``rows``: shape (rows, q, p, p), one p x p matrix per (r, l)."""
+    a, P, p = lat.a, lat.n_freq, _order(lat)
+    K = p * P
+    Z = _zak(g, K)
+    q = Z.shape[1]
+    Zx = np.concatenate([Z * np.exp(2j * np.pi * np.arange(q) / q), Z])  # Zx[y + K] = Zg[y], |y| < K
+    y = np.arange(rows)[:, None, None] + P * np.arange(p)[:, None] - a * np.arange(K // a)
+    F = Zx[y + K]  # F[r, u, n, l] = Zg[r + u P - n a, l]
+    return lat.grid.delta * P * np.einsum("runl,rvnl->rluv", F, np.conj(F))
+
+
+def _symbol_layout(v: np.ndarray, lat: Lattice) -> np.ndarray:
+    """x[r, l, u] = Zv[r + u P, l] for r < P: the vectors the symbol acts on."""
+    p, P = _order(lat), lat.n_freq
+    return _zak(v, p * P).reshape(p, P, -1).transpose(1, 2, 0)
+
+
+def _signal_layout(x: np.ndarray, lat: Lattice) -> Signal:
+    """Inverse of :func:`_symbol_layout`."""
+    return Signal(lat.grid, _unzak(x.transpose(2, 0, 1).reshape(-1, x.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -72,30 +121,13 @@ class ZakTightnessReport:
 def zak_tightness(g: Signal) -> ZakTightnessReport:
     """Tightness test for the (alpha, beta) = (1, 1/2) lattice via the Zak symbol.
 
-    Requires a = 1/delta to be an integer dividing L and b = T/2 to be an
-    integer dividing L.  The frame operator of that lattice acts in the
-    K = L/b Zak domain as multiplication by
-
-        m(n, k) = delta * (L/b) * (|Zg[n,k]|^2 + |Zg[(n - a) mod K, k]|^2),
-
-    so the system is tight exactly when m is flat, with frame bound m.
+    Requires 1/delta and T/2 to be integers dividing L.  The lattice has
+    p = 1, so its symbol is one scalar per Zak sample of the K = L/b grid;
+    the system is tight exactly when that scalar is flat, and its value is
+    then the frame bound.
     """
-    grid = g.grid
-    a_f = 1.0 / grid.delta
-    b_f = grid.T / 2.0
-    if abs(a_f - round(a_f)) > 1e-9 or abs(b_f - round(b_f)) > 1e-9:
-        raise ValueError(
-            f"lattice (1, 1/2) is not representable: needs 1/delta and T/2 "
-            f"integral, got {a_f} and {b_f}"
-        )
-    a, b = int(round(a_f)), int(round(b_f))
-    L = grid.L
-    if L % a != 0 or L % b != 0:
-        raise ValueError("lattice (1, 1/2) steps do not divide L")
-    K = L // b  # equals 2 a
-    Z = zak(g, K).values
-    mag2 = np.abs(Z) ** 2
-    symbol = grid.delta * (L // b) * (mag2 + np.roll(mag2, a, axis=0))
+    lat, _, _ = make_lattice(g.grid, 1.0, 0.5, snap_tol=1e-9 * g.grid.delta)
+    symbol = _symbol(g.values, lat, lat.a).real
     return ZakTightnessReport(
-        symbol_min=float(symbol.min()), symbol_max=float(symbol.max()), K=K
+        symbol_min=float(symbol.min()), symbol_max=float(symbol.max()), K=lat.n_freq
     )

@@ -168,6 +168,15 @@ def test_extension_resolution_below_two_exits_2(invoke, tmp_path, res):
     assert json.loads(out)["error"]["message"] == "resolution must be at least 2"
 
 
+@pytest.mark.parametrize("domain", ["10..10", "2..-2"])
+def test_extension_empty_domain_exits_2(invoke, tmp_path, domain):
+    code, out, _ = invoke("hrt-extension", *SMALL, "--base", "0,0;0,1;1,0", "--domain", domain,
+                          "--res", "8", "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith("domain needs lo < hi")
+    assert not (tmp_path / "extension_field.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,6 +14,7 @@ from gaborlab import (
     analysis,
     canonical_dual,
     canonical_tight,
+    fourier,
     frame_apply,
     frame_bounds,
     frame_matrix,
@@ -21,8 +22,10 @@ from gaborlab import (
     inner,
     least_norm_check,
     make_lattice,
+    parse_window,
     sample_window,
     synthesis,
+    zak_tightness,
 )
 
 from conftest import random_signal
@@ -189,6 +192,61 @@ def test_gaussian_half_critical_bounds(grid, gaussian):
     assert rep.A == pytest.approx(0.8284155687504852, rel=1e-9)
     assert rep.B == pytest.approx(2.0149674406901696, rel=1e-9)
     assert rep.A > 0.05 and rep.B < 4 and rep.is_frame
+
+
+def _gaussian_symbol(x, omega, alpha, beta):
+    """Continuum Zibulski-Zeevi symbol of e^{-pi x^2} at alpha beta = 1/q (Janssen 1996).
+
+    s(x, omega) = (1/beta) sum_{r<q} |Z_{1/beta} g(x - r alpha, omega)|^2 with
+    Z_lam g(x, omega) = sum_{|k| <= 12} g(x + k lam) e^{2 pi i k lam omega}; the
+    terms left out are below 1e-40.  No sampling grid and no FFT.
+    """
+    lam, k = 1 / beta, np.arange(-12, 13)
+    q = round(1 / (alpha * beta))
+    s = 0.0
+    for r in range(q):
+        t = np.exp(-np.pi * (x - r * alpha + k * lam) ** 2 + 2j * np.pi * k * lam * omega)
+        s += abs(t.sum()) ** 2
+    return s / beta
+
+
+# A = s(alpha/2, beta/2) and B = s(0, 0).  With even q the discrete symbol
+# samples (alpha/2, beta/2); with odd q it does not (at T = 27 the discrete A
+# sits about 3e-7 above the closed form), so those lattices are left out.
+@pytest.mark.parametrize("alpha, beta", [(1, 0.5), (0.5, 1), (0.25, 2), (0.5, 0.5)])
+def test_gaussian_bounds_match_closed_form(grid, gaussian, alpha, beta):
+    lat, a_err, b_err = make_lattice(grid, alpha, beta)
+    assert a_err == b_err == 0.0
+    rep = frame_bounds(gaussian, lat)
+    A = _gaussian_symbol(alpha / 2, beta / 2, alpha, beta)
+    B = _gaussian_symbol(0.0, 0.0, alpha, beta)
+    assert rep.A == pytest.approx(A, rel=1e-13, abs=1e-15)
+    assert rep.B == pytest.approx(B, rel=1e-13)
+    if (alpha, beta) == (1, 0.5):
+        sym = zak_tightness(gaussian)
+        assert sym.symbol_min == pytest.approx(A, rel=1e-13)
+        assert sym.symbol_max == pytest.approx(B, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "grid_, a, b",
+    [
+        (SampleGrid(1024, 1 / 32), 32, 16),
+        (SampleGrid(1024, 1 / 32), 64, 32),  # a b = 2 L: the adjoint lattice, p = 2
+        (SampleGrid(1024, 1 / 32), 8, 4),
+        (SampleGrid(864, 1 / 32), 32, 18),  # P = 48, p = 2, q = 9; swapped p = 2, q = 16
+        (SampleGrid(864, 1 / 32), 27, 16),  # P = 54, p = 1; swapped P = 32, p = 27
+    ],
+)
+@pytest.mark.parametrize("name", ["gaussian", "sech", "bspline:2"])
+def test_fourier_swap_preserves_bounds(grid_, a, b, name):
+    # the Fourier transform maps the lattice (a, b) onto (b, a) of the dual grid; the
+    # identity is exact for any sampled window, so the sech tail may wrap at T = 27
+    g = sample_window(parse_window(name), grid_, wrap_tol=1e-4)
+    G = fourier(g)
+    rep, swapped = frame_bounds(g, Lattice(a, b, grid_)), frame_bounds(G, Lattice(b, a, G.grid))
+    assert swapped.A == pytest.approx(rep.A, rel=1e-12, abs=1e-14 * rep.B)
+    assert swapped.B == pytest.approx(rep.B, rel=1e-12)
 
 
 def test_undersampled_is_rank_deficient(grid, gaussian):
@@ -390,6 +448,20 @@ def test_reduced_blocks_tight_and_dual(grid_, a, b, spec):
     expected = np.linalg.solve(frame_matrix(g, lat), g.values)
     gd = canonical_dual(g, lat).values
     assert np.linalg.norm(gd - expected) < 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "grid_, a, b", [(SampleGrid(1024, 1 / 32), 32, 16), (SampleGrid(1024, 1 / 32), 64, 8)] + REDUCED
+)
+@pytest.mark.parametrize("spec", [WindowSpec("gaussian"), WindowSpec("bspline", 3)])
+def test_wexler_raz_for_canonical_dual(grid_, a, b, spec):
+    # <gamma, pi(lambda) g> = (a b / L) delta_{lambda, 0} on the adjoint lattice (L/b, L/a)
+    lat = Lattice(a, b, grid_)
+    g = sample_window(spec, grid_)
+    c = analysis(g, Lattice(lat.n_freq, lat.n_time, grid_), canonical_dual(g, lat))
+    expected = np.zeros_like(c)
+    expected[0, 0] = a * b / grid_.L
+    assert np.max(np.abs(c - expected)) < 1e-13
 
 
 def test_frame_check_sees_every_block_spectrum():

@@ -229,6 +229,13 @@ def test_extension_coverage_guard(g):
         extension_integral(tiny)
 
 
+@pytest.mark.parametrize("domain", [(10.0, 10.0), (2.0, -2.0)])
+def test_extension_field_rejects_empty_domain(g, domain):
+    # an empty domain would give a field of cell area 0 and an integral of 0, not 3
+    with pytest.raises(ValueError, match="domain needs lo < hi"):
+        extension_field(g, BASE, domain=domain, resolution=8)
+
+
 def test_far_field_decay(field):
     # envelope of F over growing radii decreases toward zero
     radii = [2.0, 3.0, 4.0, 5.0]
