@@ -52,8 +52,11 @@ INVOCATIONS = [
     ("hrt-extension", ["hrt-extension", *EXT, "--res", "240"], 0),
     ("hrt-extension-moved",
      ["hrt-extension", "--base", "1,1;1,2;2.5,1", "--domain", "-5..5", "--res", "64"], 0),
+    ("hrt-extension-tiny",
+     ["hrt-extension", "--base", "0,0;0,1e-7;1e-7,0", "--domain", "-6..6", "--res", "64"], 0),
     ("classify-region", ["classify", "--alpha", "1", "--beta", "0.7"], 0),
     ("classify-points", ["classify", "--points", "0,0;0,1;1,0;1,1"], 0),
+    ("classify-points-tiny", ["classify", "--points", "0,0;0,1e-7;1e-7,0;1e-7,1e-7"], 0),
     ("stft-54", ["stft", "--L", "54", "--delta", "0.25", *STFT_SIGNAL], 0),
     ("stft-864", ["stft", "--L", "864", *STFT_SIGNAL], 0),
     ("stft-2048", ["stft", "--L", "2048", "--window", "sech", *STFT_SIGNAL], 0),

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 SLICE_COND_LIMIT = 1e10  # bspline_compact_dual: slice matrices at or above this are singular
+COMPACT_STEP = 1.0 / 256.0  # compact_window: sample spacing
+JANSSEN_N_X = 1024  # janssen_residual: x grid size in [0, alpha) when h has an evaluator
 
 
 class SingularSliceError(ValueError):
@@ -96,28 +98,28 @@ class CompactSignal:
         return out
 
 
-def compact_window(spec: WindowSpec, step: float = 1.0 / 256.0) -> CompactSignal:
+def compact_window(spec: WindowSpec) -> CompactSignal:
     """Compact window family as a CompactSignal with exact evaluator."""
     supp = support_interval(spec)
     if supp is None:
         raise ValueError(f"{spec.label()} is not compactly supported")
     lo, hi = supp
-    n = int(round((hi - lo) / step))
-    x = lo + step * np.arange(n)
+    n = int(round((hi - lo) / COMPACT_STEP))
+    x = lo + COMPACT_STEP * np.arange(n)
     return CompactSignal(
         x_lo=lo,
         x_hi=hi,
-        step=step,
+        step=COMPACT_STEP,
         samples=window_values(spec, x),
         provenance=spec.label(),
         evaluator=lambda t: window_values(spec, t),
     )
 
 
-def _fold_grid(h: CompactSignal, alpha: float, n_x: int) -> np.ndarray:
+def _fold_grid(h: CompactSignal, alpha: float) -> np.ndarray:
     """X grid in [0, alpha) aligned with h's samples when possible."""
     if h.evaluator is not None:
-        return alpha * (np.arange(n_x) + 0.5) / n_x
+        return alpha * (np.arange(JANSSEN_N_X) + 0.5) / JANSSEN_N_X
     # residues of h's sample positions modulo alpha (uniform by construction)
     offs = math.fmod(h.x_lo, alpha)
     if offs < 0:
@@ -127,13 +129,7 @@ def _fold_grid(h: CompactSignal, alpha: float, n_x: int) -> np.ndarray:
     return np.sort(np.mod(base, alpha))
 
 
-def janssen_residual(
-    g: CompactSignal,
-    h: CompactSignal,
-    alpha: float,
-    beta: float,
-    n_x: int | None = None,
-) -> float:
+def janssen_residual(g: CompactSignal, h: CompactSignal, alpha: float, beta: float) -> float:
     """Max deviation of the duality sum from beta * delta_{n,0}.
 
     The maximum runs over all rows n where the supports can overlap and over
@@ -144,7 +140,7 @@ def janssen_residual(
         raise ValueError("alpha and beta must be positive")
     if g.evaluator is None:
         raise ValueError("g must carry an evaluator (window closed form)")
-    x = _fold_grid(h, alpha, n_x or 1024)
+    x = _fold_grid(h, alpha)
     k_lo = int(math.floor((x.min() - h.x_hi) / alpha)) - 1
     k_hi = int(math.ceil((x.max() - h.x_lo) / alpha)) + 1
     shift_lo = h.x_lo - g.x_hi

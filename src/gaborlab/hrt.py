@@ -43,6 +43,8 @@ __all__ = [
 
 IND_RATIO = 1e-8  # independence threshold: lambda_min > IND_RATIO * trace/N
 COVERAGE_THRESHOLD = 1e-4  # extension_integral: largest F allowed on the domain boundary
+LABEL_TOL = 1e-9  # classify_configuration: distance tolerance, times max(1, max |coord|)
+NORMAL_TOL = 1e-12  # normalize_configuration: the same for the normal form
 
 
 class InsufficientCoverageError(ValueError):
@@ -167,87 +169,59 @@ def independence_probe(g: Signal, config: Configuration) -> IndependenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _collinear(pts: np.ndarray, tol: float) -> bool:
-    if len(pts) <= 2:
-        return True
-    p0 = pts[0]
-    d = pts[1:] - p0
-    # direction of largest spread
-    i = int(np.argmax(np.hypot(d[:, 0], d[:, 1])))
-    u = d[i]
-    nu = math.hypot(u[0], u[1])
-    if nu == 0:
-        return True
-    cross = np.abs(d[:, 0] * u[1] - d[:, 1] * u[0]) / nu
-    return bool(np.all(cross <= tol))
+def _line(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Unit direction u from pts[0] to the farthest point, and each point's position t along u.
+
+    None when some point lies farther than ``tol`` (a distance) from that line.
+    """
+    d = pts - pts[0]
+    r = np.hypot(d[:, 0], d[:, 1])
+    u = d[np.argmax(r)] / np.max(r)
+    # d @ (-u_y, u_x): signed distances from the line, here and below
+    return None if np.any(np.abs(d @ (-u[1], u[0])) > tol) else (u, d @ u)
 
 
-def _equispaced_on_line(pts: np.ndarray, tol: float) -> bool:
-    if not _collinear(pts, tol):
-        return False
-    p0 = pts[0]
-    d = pts - p0
-    i = int(np.argmax(np.hypot(d[:, 0], d[:, 1])))
-    u = d[i] / math.hypot(*d[i])
-    t = np.sort(d @ u)
-    gaps = np.diff(t)
-    return bool(len(gaps) == 0 or np.all(np.abs(gaps - gaps[0]) <= tol))
+def _equispaced(t: np.ndarray, tol: float) -> bool:
+    gaps = np.diff(np.sort(t))
+    return bool(np.all(np.abs(gaps - gaps[0]) <= tol))
 
 
 def classify_configuration(
-    config: Configuration,
-    lattice_matrix: np.ndarray | None = None,
-    tol: float = 1e-9,
+    config: Configuration, lattice_matrix: np.ndarray | None = None
 ) -> list[str]:
     """All applicable geometric labels of a configuration.
 
-    Labels: "collinear"; "collinear_equispaced_plus_one" (all but one point
-    collinear and equispaced, N >= 4); "one_three" (four points, three
-    collinear); "two_two" (four points, two per parallel line);
-    "symmetric_three_two" (five points: an equispaced symmetric collinear
-    triple plus a mirror pair on a parallel line); "lattice_subset" when a
-    full-rank ``lattice_matrix`` A is supplied and every point lies in the
-    translate p_0 + A Z^2 through the first point.
+    Points are on their line when none lies farther than the distance tol =
+    1e-9 * max(1, max |coord|) from the line through the first and the one
+    farthest from it; t is the position along it.  Labels: "collinear" (on
+    their line); if not, "collinear_equispaced_plus_one" (N >= 4, some N - 1
+    on their line with equal gaps in sorted t), "one_three" (N = 4, some three
+    on their line), "two_two" (N = 4, a pair at equal nonzero signed distances
+    from the line through the other two), "symmetric_three_two" (N = 5, three
+    on their line with equal gaps, the others' midpoint projecting onto the
+    middle one and their difference parallel to it); "lattice_subset" when a
+    full-rank ``lattice_matrix`` A is given and all points lie in p_0 + A Z^2.
     """
     pts = config.array()
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    tol = tol * scale
+    tol = LABEL_TOL * max(1.0, float(np.max(np.abs(pts))))
     labels: list[str] = []
 
-    if _collinear(pts, tol):
+    if _line(pts, tol) is not None:
         labels.append("collinear")
-
-    if n >= 4 and "collinear" not in labels:
-        for off in range(n):
-            rest = np.delete(pts, off, axis=0)
-            if _collinear(rest, tol) and _equispaced_on_line(rest, tol):
-                labels.append("collinear_equispaced_plus_one")
-                break
-
-    if n == 4 and "collinear" not in labels:
-        for off in range(4):
-            rest = np.delete(pts, off, axis=0)
-            if _collinear(rest, tol):
-                labels.append("one_three")
-                break
-        for split in ((0, 1), (0, 2), (0, 3)):
-            a = pts[list(split)]
-            b = np.delete(pts, list(split), axis=0)
-            ua = a[1] - a[0]
-            ub = b[1] - b[0]
-            cross = abs(ua[0] * ub[1] - ua[1] * ub[0])
-            if cross <= tol * max(1.0, np.linalg.norm(ua) * np.linalg.norm(ub)):
-                # parallel directions; lines must be distinct
-                w = b[0] - a[0]
-                if abs(w[0] * ua[1] - w[1] * ua[0]) > tol * max(1.0, np.linalg.norm(ua)):
-                    labels.append("two_two")
-                    break
-
-    if n == 5 and "collinear" not in labels:
-        if _is_symmetric_three_two(pts, tol):
+    elif n >= 4:
+        lines = [_line(np.delete(pts, off, axis=0), tol) for off in range(n)]
+        lines = [line for line in lines if line is not None]
+        if any(_equispaced(t, tol) for _, t in lines):
+            labels.append("collinear_equispaced_plus_one")
+        if n == 4 and lines:
+            labels.append("one_three")
+        if n == 4 and any(_two_two(pts, j, tol) for j in (1, 2, 3)):
+            labels.append("two_two")
+        if n == 5 and any(_symmetric_three_two(pts, list(idx), tol)
+                          for idx in itertools.combinations(range(5), 3)):
             labels.append("symmetric_three_two")
 
     if lattice_matrix is not None:
@@ -259,30 +233,19 @@ def classify_configuration(
     return labels
 
 
-def _is_symmetric_three_two(pts: np.ndarray, tol: float) -> bool:
-    for triple_idx in itertools.combinations(range(5), 3):
-        triple = pts[list(triple_idx)]
-        pair = np.delete(pts, list(triple_idx), axis=0)
-        if not _collinear(triple, tol):
-            continue
-        d = triple - triple[0]
-        i = int(np.argmax(np.hypot(d[:, 0], d[:, 1])))
-        nu = math.hypot(*d[i])
-        if nu == 0:
-            continue
-        u = d[i] / nu
-        t = np.sort(triple @ u)
-        if abs((t[1] - t[0]) - (t[2] - t[1])) > tol:
-            continue  # not equispaced-symmetric about the middle point
-        q = triple[np.argsort(triple @ u)][1]  # middle point
-        # pair must be q_perp +- c u with the connecting vector orthogonal to u
-        r = (pair[0] + pair[1]) / 2.0
-        if abs((r - q) @ u) > tol:
-            continue
-        diff = pair[1] - pair[0]
-        if abs(diff[0] * u[1] - diff[1] * u[0]) <= tol * max(1.0, np.linalg.norm(diff)):
-            return True
-    return False
+def _two_two(pts: np.ndarray, j: int, tol: float) -> bool:
+    u, _ = _line(pts[[0, j]], tol)
+    s = (np.delete(pts, [0, j], axis=0) - pts[0]) @ (-u[1], u[0])
+    return bool(abs(s[0] - s[1]) <= tol < abs(s[0]))  # parallel lines, distinct lines
+
+
+def _symmetric_three_two(pts: np.ndarray, triple: list[int], tol: float) -> bool:
+    line = _line(pts[triple], tol)
+    if line is None or not _equispaced(line[1], tol):
+        return False
+    (u, t), (p, q) = line, np.delete(pts, triple, axis=0)
+    on_middle = abs(((p + q) / 2.0 - pts[triple[0]]) @ u - np.sort(t)[1]) <= tol
+    return bool(on_middle and abs((q - p) @ (-u[1], u[0])) <= tol)
 
 
 @dataclass(frozen=True)
@@ -297,7 +260,8 @@ class NormalizationRecord:
         return self.scale * (np.asarray(pts, dtype=float) - self.offset) @ self.matrix.T
 
 
-def _contains_normal_triple(pts: np.ndarray, tol: float = 1e-12) -> bool:
+def _contains_normal_triple(pts: np.ndarray) -> bool:
+    tol = NORMAL_TOL  # the normal form's coordinates are of order one
     has_origin = np.any(np.all(np.abs(pts) <= tol, axis=1))
     has_01 = np.any((np.abs(pts[:, 0]) <= tol) & (np.abs(pts[:, 1] - 1.0) <= tol))
     has_a0 = np.any((np.abs(pts[:, 1]) <= tol) & (np.abs(pts[:, 0]) > tol))
@@ -307,28 +271,24 @@ def _contains_normal_triple(pts: np.ndarray, tol: float = 1e-12) -> bool:
 def normalize_configuration(config: Configuration) -> tuple[Configuration, NormalizationRecord]:
     """Map the configuration so it contains (0,0), (0,1) and some (a,0), a != 0.
 
-    Composes a translation, a rotation with scaling, and a shear; the record
-    keeps the determinant-1 matrix, the scale and the offset.  This is a
-    pure coordinate operation; window samples are not transformed.
+    Composes a translation, a rotation with scaling, and a shear built on the
+    first ordered triple not on its line (distance tolerance 1e-12 * max(1,
+    max |coord|), as for the collinearity check); the record keeps the
+    determinant-1 matrix, the scale and the offset.  This is a pure
+    coordinate operation; window samples are not transformed.
     """
     pts = config.array()
     if len(pts) < 3:
         raise ValueError("need at least three points")
-    if _collinear(pts, 1e-12 * max(1.0, float(np.max(np.abs(pts))))):
+    tol = NORMAL_TOL * max(1.0, float(np.max(np.abs(pts))))
+    if _line(pts, tol) is not None:
         raise ValueError("configuration is collinear; normal form needs a non-degenerate triple")
     if _contains_normal_triple(pts):
-        record = NormalizationRecord(matrix=np.eye(2), scale=1.0, offset=(0.0, 0.0))
-        return config, record
+        return config, NormalizationRecord(matrix=np.eye(2), scale=1.0, offset=(0.0, 0.0))
 
-    chosen = None
-    for i, j, k in itertools.permutations(range(len(pts)), 3):
-        p1, p2, p3 = pts[i], pts[j], pts[k]
-        v = p2 - p1
-        w = p3 - p1
-        if abs(v[0] * w[1] - v[1] * w[0]) > 1e-12:
-            chosen = (p1, p2, p3)
-            break
-    p1, p2, p3 = chosen
+    # one exists: pts[0], its farthest point and a point off their line
+    triples = map(list, itertools.permutations(range(len(pts)), 3))
+    p1, p2, p3 = pts[next(ijk for ijk in triples if _line(pts[ijk], tol) is None)]
     v = p2 - p1
     s = 1.0 / math.hypot(*v)
     # rotation taking v/|v| to (0, 1)
@@ -336,8 +296,7 @@ def normalize_configuration(config: Configuration) -> tuple[Configuration, Norma
     R = np.array([[d, -c], [c, d]])
     q3 = s * (R @ (p3 - p1))
     shear = np.array([[1.0, 0.0], [-q3[1] / q3[0], 1.0]])
-    B = shear @ R
-    record = NormalizationRecord(matrix=B, scale=s, offset=(float(p1[0]), float(p1[1])))
+    record = NormalizationRecord(matrix=shear @ R, scale=s, offset=(float(p1[0]), float(p1[1])))
     mapped = record.apply(pts)
     mapped[np.abs(mapped) < 1e-14] = 0.0
     return Configuration(tuple(map(tuple, mapped))), record
@@ -423,14 +382,8 @@ def extension_integral(field: ExtensionField) -> float:
 def far_field_radius(field: ExtensionField, threshold: float) -> float:
     """Smallest radius beyond which all sampled F values stay below threshold."""
     A, B = np.meshgrid(field.a_grid, field.b_grid)
-    R = np.hypot(A, B)
-    order = np.argsort(R.ravel())[::-1]
-    fvals = field.F.ravel()[order]
-    radii = R.ravel()[order]
-    bad = fvals >= threshold
-    if not np.any(bad):
-        return 0.0
-    return float(radii[np.argmax(bad)])
+    bad = field.F >= threshold
+    return float(np.max(np.hypot(A, B)[bad])) if np.any(bad) else 0.0
 
 
 def schur_identity_check(g: Signal, base: Configuration, point: tuple[float, float]) -> float:

@@ -168,6 +168,19 @@ def test_extension_resolution_below_two_exits_2(invoke, tmp_path, res):
     assert json.loads(out)["error"]["message"] == "resolution must be at least 2"
 
 
+def test_extension_tiny_base_matches_unit_base(invoke, tmp_path):
+    # the normal form of a base 1e-7 across is the unit base (0,0), (0,1), (1,0)
+    trees = []
+    for base in ("0,0;0,1;1,0", "0,0;0,1e-7;1e-7,0"):
+        outdir = tmp_path / base.replace(";", "_")
+        code, out, _ = invoke("hrt-extension", *SMALL, "--base", base, "--domain", "-4..4",
+                              "--res", "12", "--no-cache", "--outdir", str(outdir))
+        assert code == 0, out
+        assert json.loads(out)["result"]["base"] == [[0, 0], [0, 1], [1, 0]]
+        trees.append(tree(outdir))
+    assert trees[0] == trees[1] != {}
+
+
 @pytest.mark.parametrize("domain", ["10..10", "2..-2"])
 def test_extension_empty_domain_exits_2(invoke, tmp_path, domain):
     code, out, _ = invoke("hrt-extension", *SMALL, "--base", "0,0;0,1;1,0", "--domain", domain,

@@ -148,6 +148,25 @@ def test_classify_collinear():
     assert "collinear" in classify_configuration(cfg)
 
 
+LABELLED_SHAPES = [
+    (((0, 0), (0, 1), (1, 0), (1, 1)), True, ["two_two", "lattice_subset"]),
+    (((0.5, 0.25), (0.5, 1.25), (2.5, 0.25), (-0.5, 3.25)), True, ["lattice_subset"]),
+    (((0, 0), (1, 0), (2, 0), (0.5, 1)), False, ["collinear_equispaced_plus_one", "one_three"]),
+    (((0, 0), (1, 0), (2, 0), (3, 0), (1.5, 2)), False, ["collinear_equispaced_plus_one"]),
+    (((0, 0), (0, 1), (0, -1), (0.8, 0.35), (0.8, -0.35)), False, ["symmetric_three_two"]),
+    (((0, 0), (1, 0.5), (2, 1.0), (4, 2.0)), False, ["collinear"]),
+]
+
+
+@pytest.mark.parametrize("k", [-24, -16, 0, 8])
+@pytest.mark.parametrize("points, with_lattice, labels", LABELLED_SHAPES)
+def test_labels_survive_quarter_turn_and_binary_scaling(points, with_lattice, labels, k):
+    # a quarter turn and a power of two keep every coordinate exact
+    M = 2.0**k * np.array([[0.0, -1.0], [1.0, 0.0]])
+    cfg = Configuration(tuple(map(tuple, np.asarray(points, dtype=float) @ M.T)))
+    assert classify_configuration(cfg, lattice_matrix=M if with_lattice else None) == labels
+
+
 def test_normalize_identity_when_already_normal():
     cfg = Configuration(((0, 0), (0, 1), (2.5, 0), (3, 4)))
     out, rec = normalize_configuration(cfg)
@@ -163,14 +182,15 @@ def test_normalize_pure_translation():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000))
-def test_normalize_random_triples(seed):
+@given(st.integers(0, 10_000), st.sampled_from([-24, -16, 0, 8]))
+def test_normalize_random_triples(seed, k):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(3, 2)) * 2.0
     v = pts[1] - pts[0]
     w = pts[2] - pts[0]
     if abs(v[0] * w[1] - v[1] * w[0]) < 1e-6:
         return  # skip near-degenerate draws
+    pts = pts * 2.0**k
     cfg = Configuration(tuple(map(tuple, pts)))
     out, rec = normalize_configuration(cfg)
     arr = out.array()
