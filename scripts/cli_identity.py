@@ -48,6 +48,9 @@ INVOCATIONS = [
     ("scan", ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "16"], 0),
     ("wilson-classical", ["wilson", "--L", "512", "--beta", "0.5"], 0),
     ("wilson-general", ["wilson", *BASE, "--beta", "0.25", "--variant", "general"], 0),
+    # k = 8 translates make the period tau = 3: s = 48-sample blocks
+    ("wilson-general-3-8",
+     ["wilson", "--L", "768", "--delta", "0.0625", "--beta", "0.375", "--variant", "general"], 0),
     ("hrt-gram", ["hrt-gram", "--points", QUESTION], 0),
     ("hrt-extension", ["hrt-extension", *EXT, "--res", "240"], 0),
     ("hrt-extension-moved",

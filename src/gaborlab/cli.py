@@ -513,7 +513,15 @@ def _write_artifacts(outdir: str, artifacts: dict[str, bytes]) -> None:
 
 
 def _error(kind: str, message: str, code: int) -> int:
-    print(stable_json({"error": {"kind": kind, "message": message}}))
+    line = stable_json({"error": {"kind": kind, "message": message}})
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: report on stderr, and let the exit-time flush go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(line, file=sys.stderr)
     return code
 
 
@@ -548,7 +556,7 @@ def run(argv: list[str]) -> int:
         result, artifacts = _unpack(payload)
         _write_artifacts(cfg.outdir, artifacts)
         report = {"command": args.command, "version": __version__, "config": asdict(cfg)}
-        print(stable_json(dict(report, result=result)))
+        print(stable_json(dict(report, result=result)), flush=True)
         return 0
     except NUMERICAL_ERRORS as exc:
         return _error("numerical", str(exc), 3)

@@ -43,8 +43,8 @@ __all__ = [
 
 IND_RATIO = 1e-8  # independence threshold: lambda_min > IND_RATIO * trace/N
 COVERAGE_THRESHOLD = 1e-4  # extension_integral: largest F allowed on the domain boundary
-LABEL_TOL = 1e-9  # classify_configuration: distance tolerance, times max(1, max |coord|)
-NORMAL_TOL = 1e-12  # normalize_configuration: the same for the normal form
+LABEL_TOL = 1e-9  # classify_configuration: distance tolerance, times max |coord| (scale-invariant)
+NORMAL_TOL = 1e-12  # normalize_configuration: distance tolerance, times max(1, max |coord|)
 
 
 class InsufficientCoverageError(ValueError):
@@ -192,7 +192,7 @@ def classify_configuration(
     """All applicable geometric labels of a configuration.
 
     Points are on their line when none lies farther than the distance tol =
-    1e-9 * max(1, max |coord|) from the line through the first and the one
+    1e-9 * max |coord| from the line through the first and the one
     farthest from it; t is the position along it.  Labels: "collinear" (on
     their line); if not, "collinear_equispaced_plus_one" (N >= 4, some N - 1
     on their line with equal gaps in sorted t), "one_three" (N = 4, some three
@@ -206,7 +206,7 @@ def classify_configuration(
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
-    tol = LABEL_TOL * max(1.0, float(np.max(np.abs(pts))))
+    tol = LABEL_TOL * float(np.max(np.abs(pts)))
     labels: list[str] = []
 
     if _line(pts, tol) is not None:

@@ -21,10 +21,16 @@ completeness relation exact.
 Both builders want a window whose Gabor system over (time step beta,
 frequency step 1) is tight; `make_wilson_window` produces the unit-norm
 canonical tight window of that lattice.
+
+Translating by k beta, with k the smallest even integer making k beta an
+integer, permutes the atoms of each row m, so the Parseval residual and the
+ONB report read translation-periodic blocks instead of L x L and n x n
+products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,26 +108,34 @@ def _check_beta(beta: float, grid: SampleGrid) -> tuple[int, int, int]:
     return s, J, int(round(nyq_f))
 
 
-def _assemble(g: Signal, beta: float, variant: str, m0, row, nyq_carrier) -> WilsonSystem:
-    """Stack the m = 0 block, the rows m = 1..nyq-1 and the Nyquist block in (j, m) order.
+def _assemble(
+    g: Signal, beta: float, variant: str, m0_weight: float, row, nyq_carrier
+) -> WilsonSystem:
+    """Fill one atom matrix with the m = 0 block, the rows m = 1..nyq-1 and the Nyquist block.
 
-    R[j] is g translated by j beta, a read-only view of the Lattice(s, 1)
-    windows.  ``m0`` maps the even translates to the m = 0 block,
-    ``row(m, j)`` gives the (J, L) carriers of row m, and the Nyquist block
-    is ``nyq_carrier(nyq)`` times the translates of the Nyquist parity.
+    Atoms are in (j, m) order.  R[j] is g translated by j beta, a read-only
+    view of the Lattice(s, 1) windows.  The m = 0 block is ``m0_weight``
+    times the even translates, ``row(m, j, R, out)`` writes the (J, L) atoms
+    of row m into ``out``, and the Nyquist block is ``nyq_carrier(nyq)``
+    times the translates of the Nyquist parity.
     """
     s, J, nyq = _check_beta(beta, g.grid)
     R = _rolled_windows(g.values, Lattice(s, 1, g.grid))
     j = np.arange(J)
     j_nyq = j[nyq % 2 :: 2]
-    atoms = [m0(R[::2])] + [row(m, j) * R for m in range(1, nyq)] + [nyq_carrier(nyq) * R[j_nyq]]
     js = [j[: J // 2]] + [j] * (nyq - 1) + [j_nyq]
+    carrier = nyq_carrier(nyq)
+    atoms = np.empty((sum(map(len, js)), g.grid.L), np.result_type(carrier, R))
+    np.multiply(m0_weight, R[::2], out=atoms[: J // 2])
+    for m in range(1, nyq):
+        row(m, j, R, atoms[J // 2 + (m - 1) * J : J // 2 + m * J])
+    np.multiply(carrier, R[nyq % 2 :: 2], out=atoms[J // 2 + (nyq - 1) * J :])
     ms = [np.full(len(block), m) for m, block in enumerate(js)]
     return WilsonSystem(
         beta=beta,
         variant=variant,
         grid=g.grid,
-        atoms=np.concatenate(atoms),
+        atoms=atoms,
         index=tuple(zip(np.concatenate(js).tolist(), np.concatenate(ms).tolist())),
     )
 
@@ -130,38 +144,72 @@ def build_wilson_classical(g: Signal) -> WilsonSystem:
     """Classical Wilson system (beta = 1/2) from a window on the same grid."""
     x = g.grid.x()
 
-    def row(m, j):
-        cos_sin = np.sqrt(2.0) * np.stack([np.cos(2 * np.pi * m * x), np.sin(2 * np.pi * m * x)])
-        return cos_sin[(j + m) % 2]  # cos where j + m is even, sin where it is odd
+    def row(m, j, R, out):
+        cos_m = np.sqrt(2.0) * np.cos(2 * np.pi * m * x)
+        sin_m = np.sqrt(2.0) * np.sin(2 * np.pi * m * x)
+        even, odd = (cos_m, sin_m) if m % 2 == 0 else (sin_m, cos_m)  # cos where j + m is even
+        np.multiply(even, R[0::2], out=out[0::2])
+        np.multiply(odd, R[1::2], out=out[1::2])
 
     def nyq_carrier(nyq):
         return np.cos(2 * np.pi * nyq * x)  # = +-1 pointwise on the grid
 
-    return _assemble(g, 0.5, "classical", lambda even: even, row, nyq_carrier)
+    return _assemble(g, 0.5, "classical", 1.0, row, nyq_carrier)
 
 
 def build_wilson_general(g: Signal, beta: float) -> WilsonSystem:
     """Generalized Wilson system with time step beta in [1/4, 1/2]."""
     x = g.grid.x()
 
-    def row(m, j):
+    def row(m, j, R, out):
         plus = np.exp(2j * np.pi * m * x)
         w = np.exp(-2j * np.pi * beta * j * m)[:, None]
         sgn = np.where((j + m) % 2 == 0, 1.0, -1.0)[:, None]
-        return np.sqrt(beta) * (w * plus + sgn * np.conj(w) * np.conj(plus))
+        # sqrt(beta) (w plus + sgn conj(w) conj(plus)) R, one (J, L) temporary
+        np.multiply(sgn * np.conj(w), np.conj(plus), out=out)
+        out += w * plus
+        out *= np.sqrt(beta)
+        out *= R
 
     def nyq_carrier(nyq):
         return np.sqrt(2 * beta) * np.exp(2j * np.pi * nyq * x)  # sqrt(2 beta) times +-1
 
-    return _assemble(g, beta, "general", lambda even: np.sqrt(2 * beta) * even, row, nyq_carrier)
+    return _assemble(g, beta, "general", np.sqrt(2 * beta), row, nyq_carrier)
+
+
+def _translation_period(system: WilsonSystem) -> tuple[int, int]:
+    """(k, s): translating by s samples maps every row m of atoms onto itself.
+
+    It takes the atom at translate j beta to the one at translate (j + k)
+    beta, modulo the period, so the frame operator commutes with it and the
+    Gram matrix is invariant under it.  The phases e^{-2 pi i beta j m}
+    repeat when beta k is an integer, the signs (-1)^{j+m} when k is even,
+    and the carriers when the shift s delta = beta k is an integer, so k is
+    the smallest even multiple of (1/delta) / gcd(beta/delta, 1/delta).
+    Across the wrap the carriers also need an integer period T = L delta;
+    otherwise k = J and s = L.
+    """
+    a, J, nyq = _check_beta(system.beta, system.grid)
+    d = 2 * nyq // math.gcd(a, 2 * nyq)
+    k = J if system.grid.L % (2 * nyq) else d * (1 + d % 2)  # T = L / (2 nyq)
+    return k, k * a
 
 
 def wilson_parseval_residual(system: WilsonSystem) -> float:
-    """Operator-norm distance of sum <., psi> psi from the identity."""
-    Psi = system.atoms
-    M = system.grid.delta * (Psi.T @ np.conj(Psi))
-    M[np.diag_indices_from(M)] -= 1.0
-    return float(np.max(np.abs(np.linalg.eigvalsh((M + M.conj().T) / 2.0))))
+    """Operator-norm distance of sum <., psi> psi from the identity.
+
+    S = delta Psi^T conj(Psi) commutes with the translation by s samples
+    (see `_translation_period`), so it is block-circulant: its spectrum is
+    that of the L/s Hermitian s x s blocks of one length-L/s FFT over its
+    first s rows.  Cost O(s n L) for those rows and O(L s^2) for the blocks.
+    """
+    _, s = _translation_period(system)
+    Psi, L = system.atoms, system.grid.L
+    rows = system.grid.delta * np.conj(np.conj(Psi[:, :s]).T @ Psi)  # S[:s, :]
+    blocks = np.fft.fft(rows.reshape(s, L // s, s), axis=1).transpose(1, 0, 2)
+    blocks -= np.eye(s)
+    hermitian = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
 
 
 @dataclass(frozen=True)
@@ -179,12 +227,23 @@ class WilsonOnbReport:
 
 
 def wilson_onb_report(system: WilsonSystem) -> WilsonOnbReport:
-    Psi = system.atoms
-    gram = system.grid.delta * (Psi @ np.conj(Psi.T))
-    dev = gram - np.eye(system.n_atoms)
+    """Largest deviation of the Gram matrix delta <psi_i, psi_j> from the identity.
+
+    Translation covariance (see `_translation_period`) makes every
+    off-diagonal modulus one of the Gram rows of the atoms with j < k, a
+    (rows x n) product.  The diagonal is every atom's squared norm, O(n L),
+    so the carriers' rounding in far atoms still shows.
+    """
+    k, _ = _translation_period(system)
+    Psi, delta = system.atoms, system.grid.delta
+    first = np.flatnonzero(np.array([j for j, _ in system.index]) < k)
+    off = delta * np.abs(np.conj(Psi[first]) @ Psi.T)
+    off[np.arange(len(first)), first] = 0.0
+    pairs = np.ascontiguousarray(Psi).view(np.float64)  # (re, im) pairs for complex atoms
+    norm_defect = float(np.max(np.abs(delta * np.einsum("ij,ij->i", pairs, pairs) - 1.0)))
     return WilsonOnbReport(
-        max_gram_deviation=float(np.max(np.abs(dev))),
-        max_unit_norm_defect=float(np.max(np.abs(np.diagonal(gram) - 1.0))),
+        max_gram_deviation=max(float(np.max(off)), norm_defect),
+        max_unit_norm_defect=norm_defect,
         n_atoms=system.n_atoms,
         dimension=system.grid.L,
     )

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,3 +305,24 @@ def test_classical_wilson_rejects_other_beta(invoke, tmp_path):
     code, out, _ = invoke("wilson", *SMALL, "--beta", "0.25", "--variant", "general", "--no-cache",
                           "--outdir", str(tmp_path))
     assert code == 0 and json.loads(out)["result"]["beta"] == 0.25
+
+
+def test_closed_stdout_exits_2_with_the_error_on_stderr(tmp_path):
+    # the reader is gone before the child writes: no traceback, the error line on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, GABORLAB_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                           os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaborlab.cli", "wilson", *SMALL, "--beta", "0.5",
+             "--outdir", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "validation" and "Broken pipe" in error["message"]

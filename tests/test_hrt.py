@@ -158,13 +158,23 @@ LABELLED_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("k", [-24, -16, 0, 8])
+@pytest.mark.parametrize("k", [-30, -24, -16, 0, 8])
 @pytest.mark.parametrize("points, with_lattice, labels", LABELLED_SHAPES)
 def test_labels_survive_quarter_turn_and_binary_scaling(points, with_lattice, labels, k):
     # a quarter turn and a power of two keep every coordinate exact
     M = 2.0**k * np.array([[0.0, -1.0], [1.0, 0.0]])
     cfg = Configuration(tuple(map(tuple, np.asarray(points, dtype=float) @ M.T)))
     assert classify_configuration(cfg, lattice_matrix=M if with_lattice else None) == labels
+
+
+def test_labels_of_a_tiny_shape_are_its_unit_labels():
+    # the label tolerance is relative: a point 1e-9 off the line of a shape
+    # 1e-7 across is as far off it as 0.02 is at unit size
+    unit = Configuration(((0, 0), (1, 0), (2, 0), (1, 0.02)))
+    tiny = Configuration(tuple((5e-8 * a, 5e-8 * b) for a, b in unit.points))
+    labels = ["collinear_equispaced_plus_one", "one_three"]
+    assert classify_configuration(unit) == labels
+    assert classify_configuration(tiny) == labels
 
 
 def test_normalize_identity_when_already_normal():

@@ -1,5 +1,7 @@
 """Wilson systems: ONB at half redundancy, Parseval beyond, Zak criteria."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from gaborlab import (
     wilson_parseval_residual,
     zak_onb_criterion,
 )
+from gaborlab.wilson import _translation_period
 
 GRID = SampleGrid(256, 1 / 16)
 
@@ -319,3 +322,98 @@ def test_general_blocks_equal_per_atom_build(beta, L, delta_inv):
     assert W.atoms.dtype == atoms.dtype
     assert np.array_equal(W.atoms, atoms)
     assert W.index == index
+
+
+# Dense references: the L x L frame operator and the n x n Gram matrix.
+
+
+def _dense_parseval_residual(W):
+    Psi = W.atoms
+    M = W.grid.delta * (Psi.T @ np.conj(Psi))
+    M[np.diag_indices_from(M)] -= 1.0
+    return float(np.max(np.abs(np.linalg.eigvalsh((M + M.conj().T) / 2.0))))
+
+
+def _dense_onb(W):
+    gram = W.grid.delta * (W.atoms @ np.conj(W.atoms.T))
+    deviation = float(np.max(np.abs(gram - np.eye(W.n_atoms))))
+    return deviation, float(np.max(np.abs(np.diagonal(gram) - 1.0)))
+
+
+def _window(kind, beta, grid):
+    if kind == "tight":
+        return make_wilson_window(WindowSpec("gaussian"), beta, grid)
+    if kind == "taper":
+        return taper_wilson_window(beta, grid).unit()
+    return sample_window(WindowSpec("gaussian"), grid).unit()
+
+
+# (variant, beta, L, 1/delta): translation periods s of 8, 8, 8, 24 and 48 samples
+PERIODIC_CASES = [
+    ("classical", 0.5, 128, 8),
+    ("general", 0.5, 128, 8),
+    ("general", 0.25, 128, 8),
+    ("general", 1 / 3, 96, 12),
+    ("general", 0.375, 192, 16),
+]
+
+
+@pytest.mark.parametrize(
+    "variant,beta,L,delta_inv,kind",
+    [(*case, kind) for case in PERIODIC_CASES for kind in ("tight", "taper", "raw")
+     if kind != "taper" or case[1] < 0.5],  # the taper window needs beta < 1/2
+)
+def test_residuals_match_dense_references(variant, beta, L, delta_inv, kind):
+    grid = SampleGrid(L, 1.0 / delta_inv)
+    w = _window(kind, beta, grid)
+    W = build_wilson_classical(w) if variant == "classical" else build_wilson_general(w, beta)
+    assert _translation_period(W)[1] < L  # more than one block
+    assert abs(wilson_parseval_residual(W) - _dense_parseval_residual(W)) < 1e-12
+    rep = wilson_onb_report(W)
+    gram_dev, unit_defect = _dense_onb(W)
+    assert abs(rep.max_gram_deviation - gram_dev) < 1e-12
+    assert abs(rep.max_unit_norm_defect - unit_defect) < 1e-12
+    norms2 = grid.delta * np.linalg.norm(W.atoms, axis=1) ** 2
+    assert rep.max_unit_norm_defect == pytest.approx(np.max(np.abs(norms2 - 1.0)), abs=1e-14)
+
+
+def test_unit_norm_defect_reads_every_atom(tight_half_small):
+    # the Gram rows cover only atoms with j < k; a far atom off unit norm must still show
+    W = build_wilson_classical(tight_half_small)
+    atoms = W.atoms.copy()
+    atoms[-1] *= 1.01
+    rep = wilson_onb_report(dataclasses.replace(W, atoms=atoms))
+    norms2 = GRID.delta * np.linalg.norm(atoms, axis=1) ** 2
+    assert rep.max_unit_norm_defect == pytest.approx(np.max(np.abs(norms2 - 1.0)), abs=1e-14)
+    assert rep.max_gram_deviation >= rep.max_unit_norm_defect > 0.02
+
+
+@pytest.mark.parametrize("variant,beta,L,delta_inv", PERIODIC_CASES)
+def test_translation_by_s_samples_moves_atoms_k_translates_on(variant, beta, L, delta_inv):
+    # k is the smallest even k with beta k an integer, and s = k beta / delta samples
+    grid = SampleGrid(L, 1.0 / delta_inv)
+    w = _window("raw", beta, grid)
+    W = build_wilson_classical(w) if variant == "classical" else build_wilson_general(w, beta)
+    k, s = _translation_period(W)
+    assert k % 2 == 0 and abs(beta * k - round(beta * k)) < 1e-12
+    assert all(kk % 2 or abs(beta * kk - round(beta * kk)) > 1e-12 for kk in range(1, k))
+    assert s == round(k * beta * delta_inv)
+    J = round(grid.T / beta)
+    row = {jm: i for i, jm in enumerate(W.index)}
+    moved = np.roll(W.atoms, s, axis=1)
+    for i, (j, m) in enumerate(W.index):
+        # the m = 0 block sits at translates 2 j beta
+        target = ((j + k // 2) % (J // 2), 0) if m == 0 else ((j + k) % J, m)
+        assert np.max(np.abs(moved[i] - W.atoms[row[target]])) < 1e-12
+
+
+def test_non_integer_period_takes_one_block():
+    # T = 4.5: the carriers are not covariant across the wrap, so s = L
+    grid = SampleGrid(72, 1 / 16)
+    W = build_wilson_general(sample_window(WindowSpec("gaussian"), grid, wrap_tol=1e-6), 0.25)
+    assert _translation_period(W) == (18, 72)
+    assert abs(wilson_parseval_residual(W) - _dense_parseval_residual(W)) < 1e-12
+    rep = wilson_onb_report(W)
+    gram_dev, unit_defect = _dense_onb(W)
+    assert abs(rep.max_gram_deviation - gram_dev) < 1e-12
+    assert abs(rep.max_unit_norm_defect - unit_defect) < 1e-12
