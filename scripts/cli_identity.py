@@ -63,6 +63,12 @@ INVOCATIONS = [
     ("stft-54", ["stft", "--L", "54", "--delta", "0.25", *STFT_SIGNAL], 0),
     ("stft-864", ["stft", "--L", "864", *STFT_SIGNAL], 0),
     ("stft-2048", ["stft", "--L", "2048", "--window", "sech", *STFT_SIGNAL], 0),
+    # the cli-mix grids: gaussian window at L = 1024, and the second wide window
+    ("stft-1024-gaussian",
+     ["stft", "--L", "1024", "--delta", "0.03125", "--signal-window", "indicator:2.2"], 0),
+    ("stft-2048-exp",
+     ["stft", "--L", "2048", "--delta", "0.03125", "--window", "exp_two_sided",
+      "--signal-window", "indicator:0.7"], 0),
     ("bad-L", ["framebounds", "--L", "1000", "--alpha", "0.5", "--beta", "1"], 2),
     ("missing-parameter", ["framebounds", "--alpha", "0.5"], 2),
     ("non-numeric", ["dual", "--alpha", "one", "--beta", "0.3"], 2),

@@ -62,7 +62,14 @@ from .hrt import (
     schur_identity_check,
 )
 from .lattices import Lattice, SnapError, divisors, make_lattice
-from .stft import NearOrthogonalPairError, PhaseSpaceField, stft, stft_energy, stft_invert
+from .stft import (
+    NearOrthogonalPairError,
+    PhaseSpaceField,
+    stft,
+    stft_diagnostics,
+    stft_energy,
+    stft_invert,
+)
 from .wilson import (
     WilsonSystem,
     build_wilson_classical,

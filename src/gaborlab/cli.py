@@ -62,7 +62,7 @@ from .serialize import (
     stable_json,
     write_pgm_bytes,
 )
-from .stft import NearOrthogonalPairError, stft, stft_invert
+from .stft import NearOrthogonalPairError, stft_diagnostics
 from .wilson import (
     build_wilson_classical,
     build_wilson_general,
@@ -363,10 +363,7 @@ def _cmd_stft(cfg: RunConfig, p):
     g = _sample(cfg, cfg.window).unit()
     sig_spec = p.signal_window or cfg.window
     f = _sample(cfg, sig_spec)
-    V = stft(f, g)
-    rec = stft_invert(V, g, g)  # before |V| is held: the inversion is the memory peak
-    mag = np.abs(V.values)
-    energy = float(V.cell_area * np.sum(mag**2))  # stft_energy(V), without a second |V|
+    energy, mag, rec = stft_diagnostics(f, g)  # one real pass; |V| is the only L x L array
     result = {
         "signal_window": sig_spec,
         "energy": energy,

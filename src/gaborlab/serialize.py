@@ -27,6 +27,8 @@ __all__ = [
     "matrix_npy",
 ]
 
+_PGM_BLOCK = 1 << 17  # float64 pixels quantized per block of write_pgm_bytes (1 MiB)
+
 
 def fmt_float(x: float) -> str:
     """17 significant digits; non-finite values print as nan, inf, -inf."""
@@ -98,15 +100,22 @@ def framemap_csv(fmap) -> str:
 def write_pgm_bytes(values: np.ndarray, ref: float) -> bytes:
     """8-bit binary PGM (P5): pixel = rint(255 * clip(value/ref, 0, 1)).
 
-    Rows are written top to bottom as given; NaN maps to 0.
+    Rows are written top to bottom as given; NaN maps to 0.  The image is
+    quantized in blocks of rows into the uint8 output, so no float copy of
+    the whole image is made.
     """
+    h, w = values.shape
+    pix = np.empty((h, w), dtype=np.uint8)
+    rows = max(1, _PGM_BLOCK // max(w, 1))
+    buf = np.empty((min(rows, h), w))
     with np.errstate(invalid="ignore"):
-        scaled = np.divide(values, ref, dtype=float)
-        np.clip(scaled, 0.0, 1.0, out=scaled)
-    scaled[np.isnan(scaled)] = 0.0
-    scaled *= 255.0
-    pix = np.rint(scaled, out=scaled).astype(np.uint8)
-    h, w = pix.shape
+        for i in range(0, h, rows):
+            b = buf[: min(rows, h - i)]
+            np.divide(values[i : i + rows], ref, out=b)
+            np.fmax(b, 0.0, out=b)  # clip below, and NaN -> 0
+            np.fmin(b, 1.0, out=b)
+            b *= 255.0
+            pix[i : i + rows] = np.rint(b, out=b)
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     return header + pix.tobytes()
 

@@ -18,6 +18,16 @@ multiplies the length-L result by the same signs.  With the cell weight
 delta * (1/T) the discrete analysis map is exactly isometric and the
 weak-sense inversion formula reconstructs exactly, so the continuum
 identities hold at machine precision rather than discretization accuracy.
+
+The ``stft`` command needs only the energy, |V| and the reconstruction
+``stft_invert(stft(f, g), g, g)``; :func:`stft_diagnostics` computes all
+three in one pass over blocks of rows n and never holds V.  Every window
+family is real and L is even, so each row U[n, j] = f0[j] g0[j - n] of the
+analysis product is real and V[n, L - k] = conj(V[n, k]): a real FFT gives
+the columns k <= L/2, |V| mirrors into the rest, and the inverse real FFT
+of the same block feeds the reconstruction.  The pass holds the float64
+|V| (8 L^2 bytes) and one block, where ``stft`` + ``stft_invert`` + |V|
+held 32 L^2.
 """
 
 from __future__ import annotations
@@ -27,12 +37,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridMismatchError, SampleGrid, Signal, inner
-from .frames import analysis, synthesis
+from .frames import _rolled_windows, analysis, synthesis
 from .lattices import Lattice
 
-__all__ = ["PhaseSpaceField", "stft", "stft_energy", "stft_invert", "NearOrthogonalPairError"]
+__all__ = [
+    "PhaseSpaceField",
+    "stft",
+    "stft_energy",
+    "stft_invert",
+    "stft_diagnostics",
+    "NearOrthogonalPairError",
+]
 
 MIN_OVERLAP = 1e-10  # stft_invert rejects window pairs with |<g,h>| below this
+BLOCK_ROWS = 64  # rows n per block of stft_diagnostics: 1 MiB of float64 at L = 2048
 
 
 class NearOrthogonalPairError(ValueError):
@@ -75,6 +93,17 @@ def _centering_signs(grid: SampleGrid) -> np.ndarray:
     return np.where((np.arange(grid.L) - grid.origin) % 2 == 0, 1.0, -1.0)
 
 
+def _overlap(g: Signal, h: Signal) -> complex:
+    """<h, g>, the inversion weight; rejected below ``MIN_OVERLAP``."""
+    c = inner(h, g)
+    if abs(c) < MIN_OVERLAP:
+        raise NearOrthogonalPairError(
+            f"|<g,h>| = {abs(c):.3e} is below {MIN_OVERLAP:g}; the 1/<g,h> "
+            "weight in the inversion formula diverges for near-orthogonal pairs"
+        )
+    return c
+
+
 def stft(f: Signal, g: Signal) -> PhaseSpaceField:
     """Centered phase-space STFT: M_{xi_0} f analysed on a = b = 1 with g rolled by -j0."""
     if g.grid != f.grid:
@@ -104,14 +133,53 @@ def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal) -> Signal:
     """
     if g.grid != V.grid or h.grid != V.grid:
         raise GridMismatchError("window grids must match the field grid")
-    c = inner(h, g)
-    if abs(c) < MIN_OVERLAP:
-        raise NearOrthogonalPairError(
-            f"|<g,h>| = {abs(c):.3e} is below {MIN_OVERLAP:g}; the 1/<g,h> "
-            "weight in the inversion formula diverges for near-orthogonal pairs"
-        )
+    c = _overlap(g, h)
     grid = V.grid
     h0 = Signal(grid, np.roll(h.values, -grid.origin))
     r = synthesis(h0, Lattice(1, 1, grid), V.values).values
     cell = grid.delta / grid.T
     return Signal(grid, (cell / c) * (r * _centering_signs(grid)))
+
+
+def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
+    """Energy, |V| and ``stft_invert(stft(f, g), g, g)`` of real f and g, without V.
+
+    Returns ``(energy, magnitude, reconstruction)``: ``stft_energy`` of V,
+    the (L, L) float64 |V[n, k]| (a view whose memory runs from row L - 1
+    down to row 0, so ``magnitude[::-1]`` is C-contiguous) and the
+    reconstructed signal.  Each block of ``BLOCK_ROWS`` rows takes one real
+    FFT of U[n, j] = f0[j] g0[j - n], mirrors |V[n, L - k]| = |V[n, k]|,
+    adds its share of the energy, and sums the inverse real FFT times the
+    window rows into the reconstruction.  Complex f or g raise ValueError:
+    they have no conjugate symmetry, and :func:`stft` covers them.
+    """
+    if g.grid != f.grid:
+        raise GridMismatchError("window grid must match the signal grid")
+    if f.values.imag.any() or g.values.imag.any():
+        raise ValueError("stft_diagnostics needs a real signal and window; use stft")
+    c = _overlap(g, g)
+    grid = f.grid
+    L, half = grid.L, grid.L // 2 + 1
+    f0 = f.values.real * _centering_signs(grid)
+    G = _rolled_windows(np.roll(g.values.real, -grid.origin), Lattice(1, 1, grid))
+    mag = np.empty((L, L))[::-1]
+    acc = np.zeros(L)
+    energy = 0.0
+    rows = min(BLOCK_ROWS, L)
+    U, X, A = np.empty((rows, L)), np.empty((rows, half), complex), np.empty((rows, half))
+    for n0 in range(0, L, rows):
+        n1 = min(n0 + rows, L)
+        u, x, a, Gb = U[: n1 - n0], X[: n1 - n0], A[: n1 - n0], G[n0:n1]
+        np.multiply(f0, Gb, out=u)
+        np.fft.rfft(u, axis=1, out=x)
+        np.abs(x, out=a)
+        a *= grid.delta  # |V[n, k]| for k <= L/2
+        mag[n0:n1, :half] = a
+        mag[n0:n1, half:] = a[:, half - 2 : 0 : -1]
+        a *= a  # columns 0 and L/2 appear once in a row of V, the others twice
+        energy += 2.0 * a.sum() - a[:, 0].sum() - a[:, -1].sum()
+        np.fft.irfft(x, n=L, axis=1, out=u)
+        u *= Gb
+        acc += u.sum(axis=0)
+    rec = (grid.delta / c) * (acc * _centering_signs(grid))
+    return float(grid.delta / grid.T * energy), mag, Signal(grid, rec)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gaborlab import SampleGrid, Signal
+from gaborlab import SampleGrid, Signal, serialize
 from gaborlab.hrt import ExtensionField
 from gaborlab.serialize import field_csv, fmt_float, matrix_npy, signal_csv, write_pgm_bytes
 
@@ -70,6 +70,40 @@ def test_write_pgm_bytes_matches_reference_formula(ref):
     assert write_pgm_bytes(img, ref) == reference_pgm(img, ref)
     assert write_pgm_bytes(img[::-1, :], ref) == reference_pgm(img[::-1, :], ref)
     assert np.array_equal(img, before, equal_nan=True)  # the input is left as it was
+
+
+def one_shot_pgm(values, ref):
+    # the whole-image form: divide, clip, NaN -> 0, x255, rint, cast
+    with np.errstate(invalid="ignore"):
+        scaled = np.divide(values, ref, dtype=float)
+        np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled[np.isnan(scaled)] = 0.0
+    scaled *= 255.0
+    pix = np.rint(scaled, out=scaled).astype(np.uint8)
+    h, w = pix.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + pix.tobytes()
+
+
+def special_image(ref, rows, cols):
+    special = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1.0, 1.5, 1e300, 5e-324]
+    noise = np.random.default_rng(5).normal(size=rows * cols - len(special))
+    return np.concatenate([special, noise * ref]).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("block", [1, 7, 30, 1 << 17], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("shape", [(11, 30), (1, 330), (330, 1)], ids=str)
+def test_blocked_pgm_matches_one_shot_formula(monkeypatch, block, shape):
+    # blocks of max(1, block // w) rows, the last one partial
+    monkeypatch.setattr(serialize, "_PGM_BLOCK", block)
+    for ref in (1.0, 0.37):
+        img = special_image(ref, *shape)
+        assert write_pgm_bytes(img, ref) == one_shot_pgm(img, ref)
+        assert write_pgm_bytes(img[::-1, :], ref) == one_shot_pgm(img[::-1, :], ref)
+
+
+def test_blocked_pgm_over_several_default_blocks():
+    img = special_image(2.0, 70, 4096)  # 32 rows per block: two full blocks and a partial one
+    assert write_pgm_bytes(img[::-1, :], 2.0) == one_shot_pgm(img[::-1, :], 2.0)
 
 
 def test_field_csv_matches_reference_loop():

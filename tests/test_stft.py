@@ -16,6 +16,7 @@ from gaborlab import (
     sample_window,
     stft,
     stft_energy,
+    stft_diagnostics,
     stft_invert,
     tf_shift,
 )
@@ -205,3 +206,53 @@ def test_transform_and_inversion_hold_one_field_copy():
         tracemalloc.stop()
     assert stft_peak <= 1.25 * unit
     assert invert_peak - held <= 1.25 * unit
+
+
+# L = 54 has an odd origin; L = 864 is not a power of two and ends in a partial block.
+DIAGNOSTIC_GRIDS = [SampleGrid(2, 1 / 2), SampleGrid(54, 1 / 6), GRID, SampleGrid(864, 1 / 24)]
+
+
+@pytest.mark.parametrize("grid", DIAGNOSTIC_GRIDS, ids=lambda gr: f"L{gr.L}")
+@pytest.mark.parametrize("window", ["gaussian", "sech"])
+def test_diagnostics_match_the_complex_field(grid, window):
+    g = sample_window(WindowSpec(window), grid, wrap_tol=10.0).unit()
+    f = random_signal(grid, np.random.default_rng(23), complex_values=False)
+    energy, mag, rec = stft_diagnostics(f, g)
+    V = stft(f, g)
+    ref = np.abs(V.values)
+    assert abs(energy - stft_energy(V)) <= 1e-14 * stft_energy(V)
+    assert mag.shape == (grid.L, grid.L)
+    assert np.max(np.abs(mag - ref)) <= 1e-14 * ref.max()
+    assert np.linalg.norm(rec.values - stft_invert(V, g, g).values) <= 1e-14 * np.linalg.norm(
+        f.values
+    )
+    assert mag[::-1].flags.c_contiguous  # the PGM row order is the memory order
+
+
+def test_diagnostics_reject_complex_signals(f, g):
+    real_f = Signal(GRID, f.values.real)
+    with pytest.raises(ValueError):
+        stft_diagnostics(f, g)
+    with pytest.raises(ValueError):
+        stft_diagnostics(real_f, Signal(GRID, g.values * np.exp(0.1j)))
+    with pytest.raises(GridMismatchError):
+        stft_diagnostics(real_f, sample_window(WindowSpec("gaussian"), SampleGrid(128, 1 / 16)))
+
+
+def test_diagnostics_of_the_zero_window_rejected(f):
+    with pytest.raises(NearOrthogonalPairError):
+        stft_diagnostics(Signal(GRID, f.values.real), Signal(GRID, np.zeros(GRID.L)))
+
+
+def test_diagnostics_hold_less_than_one_complex_field():
+    # |V| is 8 L^2 bytes; stft + stft_invert hold about two 16 L^2 fields
+    grid = SampleGrid(512, 1 / 16)
+    g = sample_window(WindowSpec("gaussian"), grid).unit()
+    f = random_signal(grid, np.random.default_rng(29), complex_values=False)
+    tracemalloc.start()
+    try:
+        stft_diagnostics(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 16 * grid.L**2
