@@ -36,6 +36,9 @@ REDUCED = ["--L", "864", "--alpha", "1", "--beta", "0.6666666666666666"]
 INVOCATIONS = [
     ("framebounds", ["framebounds", "--alpha", "0.5", "--beta", "1"], 0),
     ("framebounds-bspline", ["framebounds", *BASE, *BSPLINE, "--alpha", "1", "--beta", "0.5"], 0),
+    ("framebounds-bspline-40",
+     ["framebounds", "--L", "2048", "--delta", "0.03125", "--window", "bspline:40",
+      "--alpha", "1", "--beta", "0.5"], 0),
     ("framebounds-adjoint",
      ["framebounds", "--L", "4096", "--delta", "0.015625", "--alpha", "2", "--beta", "32"], 0),
     ("dual", ["dual", "--alpha", "0.5", "--beta", "1"], 0),
@@ -77,6 +80,9 @@ INVOCATIONS = [
     ("hrt-extension-res", ["hrt-extension", *EXT, "--res", "1"], 2),
     ("bspline-dual-dense", ["bspline-dual", *BSPLINE, "--alpha", "1.2", "--beta", "1"], 2),
     ("stft-wraparound", ["stft", *BASE, "--window", "sech"], 2),
+    ("period-overflow", ["framebounds", "--delta", "1e308", "--alpha", "1", "--beta", "1"], 2),
+    ("janssen-negative", ["janssen", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
+    ("bspline-dual-negative", ["bspline-dual", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("dual-not-frame", ["dual", *BASE, *BSPLINE, "--alpha", "2.25", "--beta", "0.25"], 3),
     ("bspline-dual-beyond", ["bspline-dual", *BSPLINE, "--alpha", "0.24", "--beta", "1.9"], 3),
     ("hrt-extension-coverage",

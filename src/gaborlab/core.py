@@ -9,6 +9,7 @@ converge to their continuum counterparts as the grid is refined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,10 @@ class SampleGrid:
             raise ValueError(f"L must be a positive even integer, got {self.L}")
         if not (self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if not math.isfinite(self.L * self.delta):
+            raise ValueError(
+                f"the period L * delta must be finite, got {self.L} * {self.delta}"
+            )
 
     @property
     def T(self) -> float:

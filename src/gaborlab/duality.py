@@ -191,6 +191,8 @@ def bspline_compact_dual(
     """
     if N < 2:
         raise ValueError("need N >= 2 (the order-1 spline has its trivial dual)")
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
     if not (0 < alpha * beta < 1):
         raise ValueError(f"need 0 < alpha*beta < 1, got {alpha * beta:g}")
     m_req = required_slice_order(N, alpha, beta)

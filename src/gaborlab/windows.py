@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .core import SampleGrid, Signal
 
@@ -81,53 +79,13 @@ def parse_window(text: str) -> WindowSpec:
 
 
 # ---------------------------------------------------------------------------
-# B-splines as exact piecewise polynomials.
+# B-splines by the Cox-de Boor recursion.
 #
-# Pieces are kept on unit intervals with breakpoints at half-integers, stored
-# in half-units so the breakpoint bookkeeping stays exact.  Convolving with
-# the unit box is done by piecewise antiderivatives, which reproduces the
-# recursion g_N = g_1 * g_{N-1} without quadrature error.
+# The cardinal B-spline M_k(t) = g_k(t - k/2) on [0, k) satisfies
+# M_k(t) = (t M_{k-1}(t) + (k - t) M_{k-1}(t - 1)) / (k - 1), starting from
+# the indicator M_1 of [0, 1).  Each step combines nonnegative values with
+# nonnegative weights, so the error stays at rounding level for every order.
 # ---------------------------------------------------------------------------
-
-
-def _box_convolve(breaks_half: list[int], polys: list[Polynomial]):
-    """Convolve a piecewise polynomial (breaks in half-units) with g_1."""
-    n = len(polys)
-    # cumulative antiderivative, continuous, zero left of the support
-    anti = []
-    total = 0.0
-    for i in range(n):
-        P = polys[i].integ()
-        lo = breaks_half[i] / 2.0
-        anti.append(P - P(lo) + total)
-        total = float(anti[i](breaks_half[i + 1] / 2.0))
-
-    def cum(piece_idx: int):
-        """Antiderivative valid on piece piece_idx; constants off support."""
-        if piece_idx < 0:
-            return Polynomial([0.0])
-        if piece_idx >= n:
-            return Polynomial([total])
-        return anti[piece_idx]
-
-    new_breaks = [breaks_half[0] - 1 + 2 * i for i in range(n + 2)]
-    new_polys = []
-    for i in range(n + 1):
-        # x in [new_breaks[i], new_breaks[i]+2] (half-units): x + 1/2 lies in
-        # old piece i, x - 1/2 in old piece i-1
-        up = cum(i)(Polynomial([0.5, 1.0]))
-        dn = cum(i - 1)(Polynomial([-0.5, 1.0]))
-        new_polys.append(up - dn)
-    return new_breaks, new_polys
-
-
-@lru_cache(maxsize=None)
-def _bspline_pieces(N: int):
-    breaks = [-1, 1]
-    polys = [Polynomial([1.0])]
-    for _ in range(N - 1):
-        breaks, polys = _box_convolve(breaks, polys)
-    return breaks, polys
 
 
 def bspline_support(N: int) -> tuple[float, float]:
@@ -137,21 +95,19 @@ def bspline_support(N: int) -> tuple[float, float]:
 def bspline_values(N: int, x: np.ndarray) -> np.ndarray:
     """Evaluate g_N, the N-fold box convolution power, at arbitrary points.
 
-    Pieces are half-open on the right, so g_1 is the indicator of
-    [-1/2, 1/2); for N >= 2 the function is continuous and the convention
-    is invisible.
+    g_1 is the indicator of [-1/2, 1/2); for N >= 2 the function is
+    continuous and the convention is invisible.  t = x + N/2 is rounded
+    once, so every column of the recursion sees the same breakpoint side.
     """
-    breaks_half, polys = _bspline_pieces(int(N))
-    breaks = np.asarray(breaks_half, dtype=float) / 2.0
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    idx = np.searchsorted(breaks, x, side="right") - 1
-    inside = (idx >= 0) & (idx < len(polys))
-    for i in range(len(polys)):
-        m = inside & (idx == i)
-        if np.any(m):
-            out[m] = polys[i](x[m])
-    return out
+    N = int(N)
+    t = np.asarray(x, dtype=float) + N / 2.0
+    shifts = np.arange(N).reshape((N,) + (1,) * t.ndim)
+    s = t - shifts  # s[j] = t - j
+    M = (np.floor(t) == shifts).astype(float)  # M_1(t - j), one-hot at floor(t)
+    for k in range(2, N + 1):
+        sk = s[: N - k + 1]
+        M = (sk * M[:-1] + (k - sk) * M[1:]) / (k - 1)
+    return M[0]
 
 
 def bspline_closed_form(N: int, x: np.ndarray) -> np.ndarray:

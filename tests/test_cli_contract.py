@@ -120,6 +120,7 @@ def test_config_keys_are_the_flag_names(invoke, tmp_path):
         ("framebounds", "--alpha", "inf", "--beta", "1"),
         ("framebounds", "--alpha", "1", "--beta", "nan"),
         ("framebounds", "--delta", "inf", "--alpha", "1", "--beta", "1"),
+        ("framebounds", "--delta", "1e308", "--alpha", "1", "--beta", "1"),  # T = L * delta = inf
         ("framebounds", "--alpha", "1", "--beta", "1", "--wrap-tol", "1e400"),
         ("scan", "--alpha", "0..inf", "--beta", "0..2", "--res", "2"),
         ("hrt-gram", "--points", "0,0;nan,0;1,1"),
@@ -131,6 +132,28 @@ def test_non_finite_and_overflowing_numbers_exit_2(invoke, tmp_path, argv):
     code, out, _ = invoke(*argv, "--no-cache", "--outdir", str(tmp_path))
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["janssen", "bspline-dual"])
+def test_negative_lattice_parameters_exit_2_naming_the_sign(invoke, tmp_path, command):
+    # alpha * beta = 0.5 passes the density check; the sign check must come first
+    code, out, _ = invoke(command, "--window", "bspline:2", "--alpha", "-1", "--beta", "-0.5",
+                          "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "validation", "message": "alpha and beta must be positive"
+    }
+
+
+def test_high_order_bspline_frame_bounds(invoke, tmp_path):
+    # g_40 is sampled to rounding level: B = 1 to rounding, A from an exact-rational sampling
+    code, out, _ = invoke("framebounds", "--L", "2048", "--delta", "0.03125", "--window",
+                          "bspline:40", "--alpha", "1", "--beta", "0.5", "--no-cache",
+                          "--outdir", str(tmp_path))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert abs(result["B"] - 1.0) <= 1e-12
+    assert result["A"] == pytest.approx(4.4940682105144e-4, rel=1e-9)
 
 
 def test_non_finite_config_value_exits_2(invoke, tmp_path):

@@ -32,6 +32,12 @@ def test_grid_invariants():
         SampleGrid(64, 0.0)
 
 
+def test_grid_rejects_an_overflowing_period():
+    # delta is finite but T = L * delta overflows to inf
+    with pytest.raises(ValueError, match=r"period L \* delta must be finite"):
+        SampleGrid(1024, 1e308)
+
+
 def test_inner_against_quadrature(gaussian):
     # oracle: int e^{-2 pi x^2} dx = 1/sqrt(2), so ||g|| = 2^{-1/4}
     assert gaussian.norm == pytest.approx(2 ** (-0.25), abs=1e-14)

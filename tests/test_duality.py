@@ -75,6 +75,13 @@ def test_solver_rejects_bad_parameters():
         bspline_compact_dual(2, 0.24, 1.9)  # needs m = 4
 
 
+@pytest.mark.parametrize("alpha, beta", [(-1.0, -0.5), (0.0, 0.5), (1.0, -0.5)])
+def test_solver_rejects_non_positive_lattice_first(alpha, beta):
+    # (-1, -0.5) passes 0 < alpha*beta < 1; the sign check must come first
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        bspline_compact_dual(2, alpha, beta)
+
+
 def test_explicit_m_matches_support_rule():
     # forcing the exact support-rule order reproduces auto
     h = bspline_compact_dual(2, 1.0, 0.7, m=2)

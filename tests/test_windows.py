@@ -1,5 +1,8 @@
 """Window families: closed forms, supports, wraparound enforcement."""
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ def test_bspline2_is_hat():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_bspline_recursion_vs_closed_form(N):
-    # the piecewise-polynomial box-convolution route against hand formulas
+    # the Cox-de Boor recursion against hand formulas
     x = np.linspace(-3.0, 3.0, 4801)
     assert np.max(np.abs(bspline_values(N, x) - bspline_closed_form(N, x))) < 1e-10
 
@@ -60,6 +63,38 @@ def test_bspline_recursion_step(N):
     )
     tol = 1e-4 if N == 2 else 1e-8
     assert np.max(np.abs(bspline_values(N, x) - quad)) < tol
+
+
+def _bspline_exact(N, x):
+    """g_N(x) from the truncated-power sum, in exact rational arithmetic."""
+    t = Fraction(float(x)) + Fraction(N, 2)
+    total = sum((-1) ** k * comb(N, k) * (t - k) ** (N - 1) for k in range(N + 1) if t > k)
+    return float(total / factorial(N - 1))
+
+
+@pytest.mark.parametrize("N", [5, 10, 20, 30, 40])
+def test_bspline_against_exact_truncated_powers(N):
+    # sum_k (-1)^k C(N, k) (x + N/2 - k)_+^{N-1} / (N-1)!, summed exactly
+    rng = np.random.default_rng(N)
+    x = np.concatenate(
+        [
+            rng.uniform(-N / 2 - 0.5, N / 2 + 0.5, 40),
+            np.arange(-N / 2 - 0.5, N / 2 + 0.5, 0.375),  # dyadic points
+            [-N / 2, N / 2, -N / 2 + 2.0**-40, N / 2 - 2.0**-40],  # support edges
+            [2.0**-54, -(2.0**-54)],
+        ]
+    )
+    exact = np.array([_bspline_exact(N, xi) for xi in x])
+    assert np.max(np.abs(bspline_values(N, x) - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 16, 25, 40])
+def test_bspline_partition_of_unity_and_positivity(N):
+    # sum_k g_N(x - k) = 1 for every x, and g_N >= 0
+    x = np.random.default_rng(N).uniform(-1.0, 1.0, 500)
+    vals = bspline_values(N, x[:, None] - np.arange(-N, N + 1))
+    assert np.max(np.abs(vals.sum(axis=1) - 1.0)) <= 2e-15
+    assert np.all(vals >= 0.0)
 
 
 def test_bspline_support_and_mass():
