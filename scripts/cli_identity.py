@@ -49,6 +49,10 @@ INVOCATIONS = [
     ("janssen", ["janssen", "--window", "bspline:3", "--alpha", "1", "--beta", "0.6"], 0),
     ("bspline-dual", ["bspline-dual", *BSPLINE, "--alpha", "1", "--beta", "0.7"], 0),
     ("scan", ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "16"], 0),
+    # some cells miss their lattice by more than 0.05: the masked path
+    ("scan-snap-tol",
+     ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "16",
+      "--snap-tol", "0.05"], 0),
     ("wilson-classical", ["wilson", "--L", "512", "--beta", "0.5"], 0),
     ("wilson-general", ["wilson", *BASE, "--beta", "0.25", "--variant", "general"], 0),
     # k = 8 translates make the period tau = 3: s = 48-sample blocks
@@ -81,6 +85,11 @@ INVOCATIONS = [
     ("bspline-dual-dense", ["bspline-dual", *BSPLINE, "--alpha", "1.2", "--beta", "1"], 2),
     ("stft-wraparound", ["stft", *BASE, "--window", "sech"], 2),
     ("period-overflow", ["framebounds", "--delta", "1e308", "--alpha", "1", "--beta", "1"], 2),
+    ("scan-snap-tol-negative",
+     ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "2", "--snap-tol", "-1"], 2),
+    ("scan-nothing-snaps",
+     ["scan", "--L", "64", "--delta", "0.125", "--alpha", "1e-300..1", "--beta", "0.25..2",
+      "--res", "3", "--snap-tol", "1e-7"], 2),
     ("janssen-negative", ["janssen", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("bspline-dual-negative", ["bspline-dual", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("dual-not-frame", ["dual", *BASE, *BSPLINE, "--alpha", "2.25", "--beta", "0.25"], 3),

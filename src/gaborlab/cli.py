@@ -50,7 +50,7 @@ from .hrt import (
     extension_integral,
     gramian,
 )
-from .lattices import Lattice, make_lattice
+from .lattices import Lattice, SnapError, make_lattice
 from .serialize import (
     field_csv,
     field_pgm,
@@ -94,6 +94,12 @@ def _finite(text: str) -> float:
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _nonnegative(text: str) -> float:
+    if (x := _finite(text)) < 0:
+        raise ConfigError(f"expected a non-negative number, got {text!r}")
     return x
 
 
@@ -273,6 +279,8 @@ def _cmd_scan(cfg: RunConfig, p):
         threads=cfg.threads,
         wrap_tol=cfg.wrap_tol,
     )
+    if np.all(fmap.labels == "unsnappable"):
+        raise SnapError(f"no cell of the scan snaps within tolerance {p.snap_tol:g}")
     finite = fmap.A[np.isfinite(fmap.A)]
     result = {
         "cells": int(fmap.resolution**2),
@@ -378,7 +386,7 @@ def _cmd_stft(cfg: RunConfig, p):
 
 _ALPHA = Param("alpha", _finite, required=True)
 _BETA = Param("beta", _finite, required=True)
-_SNAP_TOL = Param("snap_tol", _finite)
+_SNAP_TOL = Param("snap_tol", _nonnegative)
 _RES = Param("res", _resolution, required=True)
 _LATTICE = (_ALPHA, _BETA, _SNAP_TOL)
 _COMPACT = (_ALPHA, _BETA, Param("m", _dual_order, "auto"))

@@ -1,11 +1,12 @@
 """Frame-set scans over a grid of (alpha, beta) targets.
 
-Each cell snaps its target to the nearest representable lattice and (for the
-order-2 B-spline window) carries the analytic region label.  Frame bounds on
-the periodic model are computed once per distinct snapped lattice, since many
-cells of a fine map snap to the same one.  Those solves are independent and
-may run on a thread pool; results are written by index, so output is
-deterministic regardless of schedule.
+Snapping is separable, so the alpha centres and the beta centres are each
+snapped once, and a cell is unsnappable when its column or its row misses
+the tolerance.  Frame bounds on the periodic model are solved once per
+distinct snapped lattice (distinct column step times distinct row step) and
+broadcast to the cells; only the order-2 B-spline region labels are computed
+per cell.  The solves are independent and may run on a thread pool; results
+are written by index, so output is deterministic regardless of schedule.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import SampleGrid, Signal
-from .duality import RegionLabel, classify_point_g2
+from .core import SampleGrid
+from .duality import classify_point_g2
 from .frames import frame_bounds
-from .lattices import Lattice, SnapError, make_lattice
+from .lattices import Lattice, _snap
 from .windows import WindowSpec, sample_window
 
 __all__ = ["FrameSetMap", "scan_frame_set", "RED_LINE_A_THRESHOLD"]
@@ -55,10 +56,6 @@ class FrameSetMap:
         return len(self.alpha_targets)
 
 
-def _cell_centers(lo: float, hi: float, resolution: int) -> np.ndarray:
-    return lo + (hi - lo) * (np.arange(resolution) + 0.5) / resolution
-
-
 def scan_frame_set(
     spec: WindowSpec,
     alpha_range: tuple[float, float],
@@ -79,51 +76,34 @@ def scan_frame_set(
         raise ValueError("resolution must be at least 2")
     if not (alpha_range[0] >= 0 and beta_range[0] >= 0):
         raise ValueError("ranges must be non-negative")
-    alphas = _cell_centers(*alpha_range, resolution)
-    betas = _cell_centers(*beta_range, resolution)
+    k = np.arange(resolution) + 0.5  # cell centres at lo + (hi - lo) k / resolution
+    alphas, betas = (lo + (hi - lo) * k / resolution for lo, hi in (alpha_range, beta_range))
     g = sample_window(spec, grid, wrap_tol=wrap_tol)
-    is_g2 = spec.family == "bspline" and int(spec.param) == 2
+    labels = np.full((resolution, resolution), "", dtype=object)  # i indexes beta, j alpha
+    if spec.family == "bspline" and int(spec.param) == 2:
+        for i, j in np.ndindex(labels.shape):
+            labels[i, j] = classify_point_g2(alphas[j], betas[i]).value
+    a, b, a_err, b_err = _snap(grid, alphas, betas)
+    tol = np.inf if snap_tol is None else snap_tol
+    cols, rows = ~(a_err > tol), ~(b_err > tol)
+    snapped = rows[:, None] & cols
+    labels[~snapped] = "unsnappable"
 
-    a_snap = np.full((resolution, resolution), np.nan)
-    b_snap = np.full((resolution, resolution), np.nan)
-    A = np.full((resolution, resolution), np.nan)
-    B = np.full((resolution, resolution), np.nan)
-    labels = np.full((resolution, resolution), "", dtype=object)
-
-    cells: dict[Lattice, list[tuple[int, int]]] = {}  # i indexes beta, j alpha
-    for i in range(resolution):
-        for j in range(resolution):
-            if is_g2:
-                labels[i, j] = classify_point_g2(alphas[j], betas[i]).value
-            try:
-                lat, _, _ = make_lattice(grid, alphas[j], betas[i], snap_tol=snap_tol)
-            except SnapError:
-                labels[i, j] = "unsnappable"
-                continue
-            cells.setdefault(lat, []).append((i, j))
-
+    # the snapped cells are rows x cols: one lattice per distinct (a of a column, b of a row)
+    a_set, b_set = sorted(set(a[cols].tolist())), sorted(set(b[rows].tolist()))
+    lattices = [Lattice(ak, bk, grid) for bk in b_set for ak in a_set]
     solve = partial(frame_bounds, g)
     workers = min(threads, resolution * resolution, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            reports = list(ex.map(solve, cells))
+            reports = list(ex.map(solve, lattices))
     else:
-        reports = list(map(solve, cells))
-    for (lat, ij), rep in zip(cells.items(), reports):
-        ix = tuple(np.array(ij).T)
-        a_snap[ix] = lat.alpha
-        b_snap[ix] = lat.beta
-        A[ix] = rep.A
-        B[ix] = rep.B
-
-    return FrameSetMap(
-        window=spec,
-        grid=grid,
-        alpha_targets=alphas,
-        beta_targets=betas,
-        alpha_snapped=a_snap,
-        beta_snapped=b_snap,
-        A=A,
-        B=B,
-        labels=np.asarray(labels, dtype=object),
-    )
+        reports = list(map(solve, lattices))
+    bounds = np.full((len(b_set) + 1, len(a_set) + 1, 2), np.nan)  # last row, column: unsnappable
+    bounds[:-1, :-1] = np.reshape([(rep.A, rep.B) for rep in reports], (len(b_set), len(a_set), 2))
+    row = np.where(rows, np.searchsorted(b_set, b), -1)
+    col = np.where(cols, np.searchsorted(a_set, a), -1)
+    A, B = np.moveaxis(bounds[row[:, None], col], -1, 0)
+    a_snap = np.where(snapped, a * grid.delta, np.nan)
+    b_snap = np.where(snapped, (b / grid.T)[:, None], np.nan)
+    return FrameSetMap(spec, grid, alphas, betas, a_snap, b_snap, A, B, labels)

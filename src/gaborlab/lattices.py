@@ -4,13 +4,17 @@ A lattice is a pair of integer steps (a samples, b frequency bins), both
 dividing L.  The physical parameters are alpha = a * delta and
 beta = b / T, so alpha * beta = a * b / L and the redundancy is L / (a b).
 Arbitrary (alpha, beta) targets are snapped to the nearest representable
-divisors, with the snap errors reported.
+divisors, with the snap errors reported.  The snap is separable (a from alpha
+alone, b from beta alone): one rule snaps a vector of targets per axis, and
+``make_lattice`` is its one-target case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .core import SampleGrid
 
@@ -66,6 +70,20 @@ class Lattice:
         return self.grid.L / (self.a * self.b)
 
 
+def _snap(grid: SampleGrid, alpha_targets, beta_targets) -> tuple[np.ndarray, ...]:
+    """The nearest divisor steps a and b per alpha and per beta target, and the errors.
+
+    The smaller divisor wins a tie; the errors are |a delta - alpha| and |b / T - beta|.
+    """
+    alphas, betas = np.asarray(alpha_targets, dtype=float), np.asarray(beta_targets, dtype=float)
+    if not ((alphas > 0).all() and (betas > 0).all()):
+        raise ValueError("alpha and beta targets must be positive")
+    divs = np.array(divisors(grid.L))
+    steps = (alphas / grid.delta, betas * grid.T)
+    a, b = (divs[np.abs(divs - x[:, None]).argmin(axis=1)] for x in steps)  # argmin: first of a tie
+    return a, b, np.abs(a * grid.delta - alphas), np.abs(b / grid.T - betas)
+
+
 def make_lattice(
     grid: SampleGrid,
     alpha_target: float,
@@ -78,14 +96,8 @@ def make_lattice(
     |alpha - alpha_target| and |beta - beta_target|.  If ``snap_tol`` is
     given, either error above it raises :class:`SnapError`.
     """
-    if not (alpha_target > 0 and beta_target > 0):
-        raise ValueError("alpha and beta targets must be positive")
-    divs = divisors(grid.L)
-    a = min(divs, key=lambda d: (abs(d - alpha_target / grid.delta), d))
-    b = min(divs, key=lambda d: (abs(d - beta_target * grid.T), d))
+    a, b, a_err, b_err = (x.item() for x in _snap(grid, [alpha_target], [beta_target]))
     lat = Lattice(a, b, grid)
-    a_err = abs(lat.alpha - alpha_target)
-    b_err = abs(lat.beta - beta_target)
     if snap_tol is not None and (a_err > snap_tol or b_err > snap_tol):
         raise SnapError(
             f"snapped ({lat.alpha:g}, {lat.beta:g}) misses target "

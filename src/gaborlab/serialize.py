@@ -76,25 +76,18 @@ def stable_json(obj: Any, indent: int = 0) -> str:
 
 
 def framemap_csv(fmap) -> str:
-    """One row per scan cell: targets, snapped values, bounds, label."""
-    lines = ["alpha_target,beta_target,alpha_snap,beta_snap,A,B,label"]
-    res = fmap.resolution
-    for i in range(res):
-        for j in range(res):
-            lines.append(
-                ",".join(
-                    [
-                        fmt_float(fmap.alpha_targets[j]),
-                        fmt_float(fmap.beta_targets[i]),
-                        fmt_float(fmap.alpha_snapped[i, j]),
-                        fmt_float(fmap.beta_snapped[i, j]),
-                        fmt_float(fmap.A[i, j]),
-                        fmt_float(fmap.B[i, j]),
-                        str(fmap.labels[i, j]),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    """One row per scan cell: targets, snapped values, bounds, label.
+
+    Each beta row fills one %-template with its alpha_target column written in.
+    """
+    fields = ",%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+    template = "".join(f"{a:.17g}{fields}" for a in fmap.alpha_targets.tolist())
+    columns = (fmap.alpha_snapped, fmap.beta_snapped, fmap.A, fmap.B, fmap.labels)
+    lines = ["alpha_target,beta_target,alpha_snap,beta_snap,A,B,label\n"]
+    for i, beta in enumerate(fmap.beta_targets.tolist()):
+        cells = zip(*(values[i].tolist() for values in columns))
+        lines.append(template % tuple(x for cell in cells for x in (beta, *cell)))
+    return "".join(lines)
 
 
 def write_pgm_bytes(values: np.ndarray, ref: float) -> bytes:

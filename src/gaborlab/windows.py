@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _FAMILIES = ("gaussian", "sech", "exp_two_sided", "exp_one_sided", "indicator", "bspline")
+_MAX_BSPLINE_ORDER = 64  # bspline_values costs about N^2 n / 2 multiply-adds for n points
 
 
 class WraparoundError(ValueError):
@@ -41,8 +42,8 @@ class WraparoundError(ValueError):
 class WindowSpec:
     """A window family plus its parameter.
 
-    ``param`` is the indicator width c > 0 or the B-spline order N >= 1;
-    it is None for the parameter-free families.
+    ``param`` is the indicator width c > 0 or the B-spline order
+    1 <= N <= 64; it is None for the parameter-free families.
     """
 
     family: str
@@ -57,6 +58,8 @@ class WindowSpec:
         elif self.family == "bspline":
             if self.param is None or int(self.param) != self.param or int(self.param) < 1:
                 raise ValueError("bspline requires an integer order N >= 1")
+            if int(self.param) > _MAX_BSPLINE_ORDER:
+                raise ValueError(f"bspline order must be at most 64, got {self.param}")
         elif self.param is not None:
             raise ValueError(f"{self.family} takes no parameter")
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from gaborlab import cli
+from gaborlab import cli, windows
 from gaborlab.cache import source_fingerprint
 from gaborlab.core import SampleGrid
 from gaborlab.wilson import build_wilson_classical, build_wilson_general, make_wilson_window
@@ -154,6 +154,55 @@ def test_high_order_bspline_frame_bounds(invoke, tmp_path):
     result = json.loads(out)["result"]
     assert abs(result["B"] - 1.0) <= 1e-12
     assert result["A"] == pytest.approx(4.4940682105144e-4, rel=1e-9)
+
+
+def test_bspline_order_above_the_bound_exits_2(invoke, tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the order reached the evaluation")
+
+    monkeypatch.setattr(windows, "bspline_values", unreachable)
+    code, out, _ = invoke("framebounds", "--L", "2048", "--delta", "16", "--window",
+                          "bspline:20000", "--alpha", "1", "--beta", "0.5", "--no-cache",
+                          "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "validation", "message": "bspline order must be at most 64, got 20000"
+    }
+
+
+_SNAP_TOL_REQUESTS = {
+    "framebounds": ("framebounds", *SMALL, "--alpha", "1", "--beta", "0.5"),
+    "scan": ("scan", *SMALL, "--alpha", "0..2", "--beta", "0..2", "--res", "2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SNAP_TOL_REQUESTS))
+def test_negative_snap_tolerance_exits_2(invoke, tmp_path, command):
+    argv = (*_SNAP_TOL_REQUESTS[command], "--no-cache", "--outdir", str(tmp_path))
+    expected = "expected a non-negative number, got '-1'"
+    code, out, _ = invoke(*argv, "--snap-tol", "-1")
+    assert code == 2
+    message = f"argument --snap-tol: {expected}"
+    assert json.loads(out)["error"] == {"kind": "validation", "message": message}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snap_tol = -1\n")
+    code, out, _ = invoke(*argv, "--config", str(cfg))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": expected}
+    assert not (tmp_path / "frameset.csv").exists()
+    code, out, _ = invoke(*argv, "--snap-tol", "0")  # (alpha, beta) = (1 or 0.5, 0.5) snaps exactly
+    assert code == 0, out
+
+
+def test_scan_where_no_cell_snaps_exits_2_naming_the_tolerance(invoke, tmp_path):
+    code, out, _ = invoke("scan", "--L", "64", "--delta", "0.125", "--alpha", "1e-300..1",
+                          "--beta", "0.25..2", "--res", "3", "--snap-tol", "1e-7", "--no-cache",
+                          "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "validation", "message": "no cell of the scan snaps within tolerance 1e-07"
+    }
+    assert not (tmp_path / "frameset.csv").exists()
 
 
 def test_non_finite_config_value_exits_2(invoke, tmp_path):

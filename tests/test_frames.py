@@ -49,6 +49,13 @@ def test_make_lattice_snapping(grid):
         make_lattice(grid, 2**0.5 - 0.01, 1.0, snap_tol=1e-3)
 
 
+def test_make_lattice_tie_takes_the_smaller_divisor():
+    # alpha / delta = 3 lies midway between the divisors 2 and 4, beta * T = 6 between 4 and 8
+    lat, a_err, b_err = make_lattice(SMALL, 3 / 8, 6 / 16)
+    assert (lat.a, lat.b) == (2, 4)
+    assert (a_err, b_err) == (1 / 8, 2 / 16)
+
+
 def test_analysis_matches_direct_inner_products(rng):
     lat = Lattice(16, 16, SMALL)
     g = sample_window(WindowSpec("gaussian"), SMALL)

@@ -1,5 +1,7 @@
 """Frame-set scans: agreement with theory, artifacts, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from gaborlab import SampleGrid, WindowSpec, scan_frame_set
 from gaborlab.duality import RegionLabel, classify_point_g2, region_expects_frame
 from gaborlab.frames import FRAME_RATIO
 from gaborlab.frameset import RED_LINE_A_THRESHOLD
-from gaborlab.serialize import framemap_csv, framemap_pgm
+from gaborlab.serialize import fmt_float, framemap_csv, framemap_pgm
 
 GRID = SampleGrid(256, 1 / 16)
 
@@ -174,3 +176,66 @@ def test_scan_solves_each_lattice_once(monkeypatch):
             for j in range(8):
                 rep = frame_bounds(g, Lattice(a[i, j], b[i, j], GRID))
                 assert (m.A[i, j], m.B[i, j]) == (rep.A, rep.B)
+
+
+def reference_scan(spec, alpha_range, beta_range, res, grid, snap_tol):
+    """Per-cell scan: one make_lattice and one frame_bounds for every cell."""
+    from gaborlab import SnapError, frame_bounds, make_lattice, sample_window
+
+    g = sample_window(spec, grid)
+    alphas = alpha_range[0] + (alpha_range[1] - alpha_range[0]) * (np.arange(res) + 0.5) / res
+    betas = beta_range[0] + (beta_range[1] - beta_range[0]) * (np.arange(res) + 0.5) / res
+    out = {k: np.full((res, res), np.nan) for k in ("alpha_snapped", "beta_snapped", "A", "B")}
+    labels = np.full((res, res), "", dtype=object)
+    for i, beta in enumerate(betas):
+        for j, alpha in enumerate(alphas):
+            if spec == WindowSpec("bspline", 2):
+                labels[i, j] = classify_point_g2(alpha, beta).value
+            try:
+                lat, _, _ = make_lattice(grid, alpha, beta, snap_tol=snap_tol)
+            except SnapError:
+                labels[i, j] = "unsnappable"
+                continue
+            rep = frame_bounds(g, lat)
+            for key, value in zip(out, (lat.alpha, lat.beta, rep.A, rep.B)):
+                out[key][i, j] = value
+    return out, labels
+
+
+@pytest.mark.parametrize("L, delta", [(64, 0.125), (256, 1 / 16), (864, 1 / 32)])
+@pytest.mark.parametrize(
+    "spec", [WindowSpec("gaussian"), WindowSpec("bspline", 2)], ids=["gaussian", "bspline2"]
+)
+def test_scan_matches_per_cell_reference(L, delta, spec):
+    grid = SampleGrid(L, delta)
+    rng = np.random.default_rng(L)
+    seen_unsnappable = False
+    for res, snap_tol in itertools.product((2, 3, 7, 16), (None, 0, 0.01, 0.05)):
+        lo = rng.uniform(0, 1.5, 2)
+        # (0, 2) puts centres on exact lattice points and midway between divisors
+        for alpha_range, beta_range in [((0, 2), (0, 2)), zip(lo, lo + rng.uniform(0.05, 1.5, 2))]:
+            m = scan_frame_set(spec, alpha_range, beta_range, res, grid, snap_tol=snap_tol)
+            ref, labels = reference_scan(spec, alpha_range, beta_range, res, grid, snap_tol)
+            for key, expected in ref.items():
+                same = np.array_equal(getattr(m, key), expected, equal_nan=True)
+                assert same, (key, res, snap_tol)
+            assert m.labels.tolist() == labels.tolist()
+            seen_unsnappable |= "unsnappable" in labels
+    assert seen_unsnappable
+
+
+def test_framemap_csv_matches_reference_loop():
+    from gaborlab.frameset import FrameSetMap
+
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 0.1, -1e300]
+    grid = SampleGrid(16, 0.25)
+    alphas, betas = np.array([0.1, 1 / 3, 2.0]), np.array([1e-300, 0.5, -0.0])
+    cells = [np.roll(special, k).reshape(3, 3) for k in range(4)]
+    labels = np.array([["", "unsnappable", "painless"]] * 3, dtype=object)
+    fmap = FrameSetMap(WindowSpec("gaussian"), grid, alphas, betas, *cells, labels)
+    lines = ["alpha_target,beta_target,alpha_snap,beta_snap,A,B,label"]
+    for i in range(3):
+        for j in range(3):
+            floats = [alphas[j], betas[i]] + [c[i, j] for c in cells]
+            lines.append(",".join([*map(fmt_float, floats), str(labels[i, j])]))
+    assert framemap_csv(fmap) == "\n".join(lines) + "\n"

@@ -21,6 +21,9 @@ def test_spec_validation():
         WindowSpec("indicator")  # missing width
     with pytest.raises(ValueError):
         WindowSpec("bspline", 0)
+    WindowSpec("bspline", 64)
+    with pytest.raises(ValueError, match="at most 64"):
+        WindowSpec("bspline", 65)
     with pytest.raises(ValueError):
         WindowSpec("gaussian", 2.0)
     with pytest.raises(ValueError):
