@@ -11,7 +11,10 @@ fields of the result.
     PYTHONPATH=src python scripts/cli_identity.py --workdir /tmp/ident > new.jsonl
     python scripts/cli_identity.py --compare old.jsonl new.jsonl
 
-A run exits 1 when some exit code differs from the expected one; a
+The set then runs a second time in the same process, so state kept between
+requests (the parser, the caches) is checked too; the printed records are
+the first pass's.  A run exits 1 when some exit code differs from the
+expected one or some second-pass record differs from the first; a
 comparison exits 1 when the two runs differ anywhere, and lists where.
 """
 
@@ -155,11 +158,18 @@ def run(workdir: str) -> int:
     os.makedirs(workdir, exist_ok=True)
     os.chdir(workdir)
     wrong = 0
+    first = []
     for name, argv, expect in INVOCATIONS:
         record = _invoke(cli, name, argv, expect)
+        first.append(record)
         print(json.dumps(record, sort_keys=True), flush=True)
         if record["exit"] != expect:
             print(f"{name}: exit {record['exit']}, expected {expect}", file=sys.stderr)
+            wrong += 1
+    # the same set again in this process: state kept between requests must not change a record
+    for record, (name, argv, expect) in zip(first, INVOCATIONS):
+        if _invoke(cli, name, argv, expect) != record:
+            print(f"{name}: second run in the same process differs from the first", file=sys.stderr)
             wrong += 1
     return 1 if wrong else 0
 

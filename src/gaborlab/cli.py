@@ -12,6 +12,8 @@ Reports embed the resolved configuration, snap errors and the tool version.
 Repeated invocations are served from a content-addressed cache whose entries
 hold the result and the artifact bytes, so a hit restores the artifacts into
 whichever output directory was requested.
+
+The table builds the parser once per process; a request only parses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import Any, Callable
 
@@ -279,13 +281,13 @@ def _cmd_scan(cfg: RunConfig, p):
         threads=cfg.threads,
         wrap_tol=cfg.wrap_tol,
     )
-    if np.all(fmap.labels == "unsnappable"):
+    finite = fmap.A[np.isfinite(fmap.A)]  # a snapped cell's A is finite
+    if not finite.size:
         raise SnapError(f"no cell of the scan snaps within tolerance {p.snap_tol:g}")
-    finite = fmap.A[np.isfinite(fmap.A)]
     result = {
         "cells": int(fmap.resolution**2),
-        "a_min": float(finite.min()) if finite.size else None,
-        "a_max": float(finite.max()) if finite.size else None,
+        "a_min": float(finite.min()),
+        "a_max": float(finite.max()),
         "artifacts": ["frameset.csv", "frameset.pgm"],
     }
     return result, {"frameset.csv": framemap_csv(fmap), "frameset.pgm": framemap_pgm(fmap)}
@@ -429,15 +431,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Every subcommand, with flags only for those in ``argv`` (all flags cost more than a hit)."""
-    parser = _Parser(prog="gaborlab", description=__doc__)
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with all its flags; built once per process and reused by ``run``."""
+    about = __doc__.rsplit("\n\n", 1)[0]  # the last paragraph is about the code, not the CLI
+    parser = _Parser(prog="gaborlab", description=about)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        if name not in argv:
-            continue
         p.add_argument("--config", help="key = value configuration file")
         for param in COMMON + command.params:
             if param.type is _switch:
@@ -447,17 +449,19 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
+_DASH_FLAGS = frozenset(
+    param.flag
+    for command in COMMANDS.values()
+    for param in command.params
+    if param.type in (_parse_range, _parse_points)
+)
+
+
 def _merge_dash_values(argv: list[str]) -> list[str]:
     """Glue range and point-list values, which may begin with '-', onto their flags."""
-    dash_flags = {
-        param.flag
-        for command in COMMANDS.values()
-        for param in command.params
-        if param.type in (_parse_range, _parse_points)
-    }
     merged, tokens = [], iter(argv)
     for tok in tokens:
-        value = next(tokens, None) if tok in dash_flags else None
+        value = next(tokens, None) if tok in _DASH_FLAGS else None
         merged.append(tok if value is None else f"{tok}={value}")
     return merged
 
@@ -532,7 +536,7 @@ def _error(kind: str, message: str, code: int) -> int:
 
 def run(argv: list[str]) -> int:
     try:
-        args = _build_parser(argv).parse_args(_merge_dash_values(argv))
+        args = _build_parser().parse_args(_merge_dash_values(argv))
     except SystemExit:  # --help, --version
         return 0
     except ConfigError as exc:

@@ -239,12 +239,12 @@ def bspline_compact_dual(
 
 
 class RegionLabel(str, Enum):
-    """Known frame-set regions for the order-2 B-spline window."""
+    """Known frame-set regions for the order-2 B-spline window, in ``_g2_rule``'s order."""
 
-    NOT_FRAME_DENSITY = "not_frame_density"
     NOT_FRAME_RED_LINE = "not_frame_red_line"
-    PAINLESS = "painless"
+    NOT_FRAME_DENSITY = "not_frame_density"
     REGION_B = "region_b"
+    PAINLESS = "painless"
     REGION_C = "region_c"
     REGION_D = "region_d"
     REGION_E = "region_e"
@@ -253,36 +253,36 @@ class RegionLabel(str, Enum):
     UNKNOWN = "unknown"
 
 
-def classify_point_g2(alpha: float, beta: float) -> RegionLabel:
-    """Classify (alpha, beta) against the known g_2 frame-set regions.
+def _g2_rule(alpha, beta) -> np.ndarray:
+    """Index into ``RegionLabel`` of the first rule each broadcast (alpha, beta) meets.
 
     Order: integer-beta obstruction lines first, then the necessary density
     conditions, then the known frame regions by their inequality ranges;
     points matching none are labeled unknown.  The obstruction-line
     test accepts alpha * beta = 1 (both labels mean "not a frame" there).
     """
-    if alpha <= 0 or beta <= 0:
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+    if not ((alpha > 0) & (beta > 0)).all():
         raise ValueError("alpha and beta must be positive")
-    near_int = abs(beta - round(beta)) < 1e-9 and round(beta) >= 2
-    if near_int and alpha * beta <= 1.0 + 1e-12 and alpha < 2.0:
-        return RegionLabel.NOT_FRAME_RED_LINE
-    if alpha * beta >= 1.0 or alpha >= 2.0:
-        return RegionLabel.NOT_FRAME_DENSITY
-    if 1.0 <= alpha < 2.0 and beta < 1.0 / alpha:
-        return RegionLabel.REGION_B
-    if beta <= 0.5:
-        return RegionLabel.PAINLESS
-    if beta <= 2.0 / (2.0 + alpha):
-        return RegionLabel.REGION_C
-    if beta <= 4.0 / (2.0 + 3.0 * alpha):
-        return RegionLabel.REGION_D
-    if alpha < 0.5 and beta <= 2.0 / (1.0 + alpha):
-        return RegionLabel.REGION_E
-    if 0.5 <= alpha <= 0.8 and beta <= 6.0 / (2.0 + 5.0 * alpha) and beta > 1.0:
-        return RegionLabel.REGION_F
-    if 2.0 / 3.0 <= alpha <= 1.0 and beta < 1.0:
-        return RegionLabel.REGION_G
-    return RegionLabel.UNKNOWN
+    near_int = (np.abs(beta - np.round(beta)) < 1e-9) & (np.round(beta) >= 2)
+    rules = (
+        near_int & (alpha * beta <= 1.0 + 1e-12) & (alpha < 2.0),
+        (alpha * beta >= 1.0) | (alpha >= 2.0),
+        (1.0 <= alpha) & (alpha < 2.0) & (beta < 1.0 / alpha),
+        beta <= 0.5,
+        beta <= 2.0 / (2.0 + alpha),
+        beta <= 4.0 / (2.0 + 3.0 * alpha),
+        (alpha < 0.5) & (beta <= 2.0 / (1.0 + alpha)),
+        (0.5 <= alpha) & (alpha <= 0.8) & (beta <= 6.0 / (2.0 + 5.0 * alpha)) & (beta > 1.0),
+        (2.0 / 3.0 <= alpha) & (alpha <= 1.0) & (beta < 1.0),
+        np.ones_like(near_int),  # unknown
+    )
+    return np.argmax(rules, axis=0)
+
+
+def classify_point_g2(alpha: float, beta: float) -> RegionLabel:
+    """Classify (alpha, beta) against the known g_2 frame-set regions (see ``_g2_rule``)."""
+    return list(RegionLabel)[int(_g2_rule(alpha, beta))]
 
 
 _FRAME_REGIONS = {

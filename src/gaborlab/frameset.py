@@ -4,9 +4,9 @@ Snapping is separable, so the alpha centres and the beta centres are each
 snapped once, and a cell is unsnappable when its column or its row misses
 the tolerance.  Frame bounds on the periodic model are solved once per
 distinct snapped lattice (distinct column step times distinct row step) and
-broadcast to the cells; only the order-2 B-spline region labels are computed
-per cell.  The solves are independent and may run on a thread pool; results
-are written by index, so output is deterministic regardless of schedule.
+broadcast to the cells, and the order-2 B-spline region labels are taken on
+the whole grid at once.  The solves are independent and may run on a thread
+pool; results are written by index, so output is schedule-independent.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .core import SampleGrid
-from .duality import classify_point_g2
+from .duality import RegionLabel, _g2_rule
 from .frames import frame_bounds
 from .lattices import Lattice, _snap
 from .windows import WindowSpec, sample_window
@@ -81,8 +81,7 @@ def scan_frame_set(
     g = sample_window(spec, grid, wrap_tol=wrap_tol)
     labels = np.full((resolution, resolution), "", dtype=object)  # i indexes beta, j alpha
     if spec.family == "bspline" and int(spec.param) == 2:
-        for i, j in np.ndindex(labels.shape):
-            labels[i, j] = classify_point_g2(alphas[j], betas[i]).value
+        labels[:] = np.array([r.value for r in RegionLabel])[_g2_rule(alphas, betas[:, None])]
     a, b, a_err, b_err = _snap(grid, alphas, betas)
     tol = np.inf if snap_tol is None else snap_tol
     cols, rows = ~(a_err > tol), ~(b_err > tol)

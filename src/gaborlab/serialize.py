@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
+import json
 import math
 from typing import Any
 
@@ -53,8 +54,6 @@ def stable_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return stable_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return stable_json(obj.tolist(), indent)
@@ -66,8 +65,6 @@ def stable_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        import json
-
         parts = []
         for k in sorted(obj):
             parts.append(f"{pad_in}{json.dumps(str(k))}: {stable_json(obj[k], indent + 1)}")

@@ -355,6 +355,38 @@ def test_help_and_version_exit_0(invoke, argv, stdout):
     assert code == 0 and out.startswith(stdout)
 
 
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_answers_as_a_fresh_process(invoke, tmp_path, monkeypatch):
+    # one process: errors, help and version first, then successful runs on the same parser
+    monkeypatch.setenv("COLUMNS", "80")  # --help and usage lines wrap to the terminal width
+    out = str(tmp_path / "out")
+    sequence = [
+        ("framebounds", *SMALL, "--alpha", "inf", "--beta", "1"),
+        ("--help",),
+        ("--version",),
+        ("bogus",),
+        ("framebounds", *SMALL, "--alpha", "0.5", "--beta", "1", "--no-cache", "--outdir", out),
+        ("scan", *SMALL, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "3", "--no-cache",
+         "--outdir", out),
+    ]
+    in_process = [invoke(*argv) for argv in sequence]
+    code, _, err = in_process[0]
+    assert code == 2
+    assert err.startswith("usage: gaborlab framebounds [-h]")
+    assert "gaborlab framebounds: error: argument --alpha: expected a finite number, got 'inf'" in err
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 2, 0, 0]
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                           os.environ.get("PYTHONPATH", "")]))
+    for argv, (code, stdout, stderr) in zip(sequence, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "gaborlab.cli", *argv], capture_output=True,
+                               text=True, env=env, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, stdout, stderr), argv
+
+
 @pytest.mark.parametrize("variant, beta", [("classical", 0.5), ("general", 0.25)])
 def test_wilson_atoms_npy_holds_the_system_atoms(invoke, tmp_path, variant, beta):
     code, _, _ = invoke("wilson", *SMALL, "--beta", str(beta), "--variant", variant, "--no-cache",

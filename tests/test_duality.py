@@ -19,7 +19,7 @@ from gaborlab import (
     sample_window,
     synthesis,
 )
-from gaborlab.duality import CompactSignal, required_slice_order
+from gaborlab.duality import CompactSignal, _g2_rule, required_slice_order
 
 from conftest import random_signal
 
@@ -157,6 +157,75 @@ def test_red_lines_at_higher_integers():
     assert classify_point_g2(0.2, 4.0) is RegionLabel.NOT_FRAME_RED_LINE
     # beta = 2 with alpha beta > 1 is plain density failure
     assert classify_point_g2(0.6, 2.0) is RegionLabel.NOT_FRAME_DENSITY
+
+
+def _classify_reference(alpha, beta):
+    """The g_2 rules as a scalar if-chain, one point at a time (first rule wins)."""
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
+    near_int = abs(beta - round(beta)) < 1e-9 and round(beta) >= 2
+    if near_int and alpha * beta <= 1.0 + 1e-12 and alpha < 2.0:
+        return RegionLabel.NOT_FRAME_RED_LINE
+    if alpha * beta >= 1.0 or alpha >= 2.0:
+        return RegionLabel.NOT_FRAME_DENSITY
+    if 1.0 <= alpha < 2.0 and beta < 1.0 / alpha:
+        return RegionLabel.REGION_B
+    if beta <= 0.5:
+        return RegionLabel.PAINLESS
+    if beta <= 2.0 / (2.0 + alpha):
+        return RegionLabel.REGION_C
+    if beta <= 4.0 / (2.0 + 3.0 * alpha):
+        return RegionLabel.REGION_D
+    if alpha < 0.5 and beta <= 2.0 / (1.0 + alpha):
+        return RegionLabel.REGION_E
+    if 0.5 <= alpha <= 0.8 and beta <= 6.0 / (2.0 + 5.0 * alpha) and beta > 1.0:
+        return RegionLabel.REGION_F
+    if 2.0 / 3.0 <= alpha <= 1.0 and beta < 1.0:
+        return RegionLabel.REGION_G
+    return RegionLabel.UNKNOWN
+
+
+def _around(x):
+    """x and its float neighbours one and two ulps away."""
+    down, up = np.nextafter(x, 0.0), np.nextafter(x, np.inf)
+    return [np.nextafter(down, 0.0), down, x, up, np.nextafter(up, np.inf)]
+
+
+def _boundary_points(rng):
+    """Points on and next to every rule boundary of the g_2 classifier."""
+    alphas = rng.uniform(0.01, 2.5, 200)
+    curves = [1.0 / alphas, 2.0 / (2.0 + alphas), 4.0 / (2.0 + 3.0 * alphas),
+              2.0 / (1.0 + alphas), 6.0 / (2.0 + 5.0 * alphas)]
+    pts = [(a, b) for curve in curves for a, c in zip(alphas, curve) for b in _around(c)]
+    betas = rng.uniform(0.01, 4.0, 200)
+    for a in (0.5, 2.0 / 3.0, 0.8, 1.0, 2.0):  # vertical edges
+        pts += [(x, b) for x in _around(a) for b in betas]
+    for b in (0.5, 1.0, *range(2, 7)):  # horizontal edges and integer red lines
+        near = [b + d for d in (-2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9)] + _around(float(b))
+        pts += [(a, y) for y in near for a in (*alphas[:40], 1.0 / b, *_around(1.0 / b))]
+    return np.array(pts)
+
+
+def test_g2_rule_matches_scalar_chain(rng):
+    random = np.column_stack([rng.uniform(1e-3, 3.0, 4000), rng.uniform(1e-3, 5.0, 4000)])
+    pts = np.concatenate([random, _boundary_points(rng)])
+    expected = [_classify_reference(float(a), float(b)) for a, b in pts]
+    labels = list(RegionLabel)
+    assert [labels[k] for k in _g2_rule(pts[:, 0], pts[:, 1])] == expected
+    assert [classify_point_g2(float(a), float(b)) for a, b in pts[::37]] == expected[::37]
+    # broadcast over a grid, [i_beta, j_alpha] as the scan lays it out
+    a, b = random[:60, 0], random[:50, 1]
+    grid = _g2_rule(a, b[:, None])
+    assert grid.shape == (50, 60)
+    assert all(labels[grid[i, j]] == _classify_reference(a[j], b[i]) for i, j in np.ndindex(50, 60))
+
+
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0), (1.0, -0.5)])
+def test_classify_rejects_nan_and_non_positive_targets(alpha, beta):
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        classify_point_g2(alpha, beta)
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        _g2_rule(np.array([0.5, alpha]), np.array([0.5, beta]))
 
 
 def test_solver_point_outside_proven_regions_still_works():
