@@ -51,6 +51,12 @@ INVOCATIONS = [
     ("tight-reduced", ["tight", *REDUCED], 0),
     ("janssen", ["janssen", "--window", "bspline:3", "--alpha", "1", "--beta", "0.6"], 0),
     ("bspline-dual", ["bspline-dual", *BSPLINE, "--alpha", "1", "--beta", "0.7"], 0),
+    # the m = 3 slice system, by the support rule and by an explicit order
+    ("janssen-m3", ["janssen", *BSPLINE, "--alpha", "0.4", "--beta", "1.5"], 0),
+    ("bspline-dual-m3",
+     ["bspline-dual", *BSPLINE, "--alpha", "0.4", "--beta", "1.5", "--m", "3"], 0),
+    ("bspline-dual-bspline3",
+     ["bspline-dual", "--window", "bspline:3", "--alpha", "1", "--beta", "0.6"], 0),
     ("scan", ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "16"], 0),
     # some cells miss their lattice by more than 0.05: the masked path
     ("scan-snap-tol",
@@ -70,6 +76,8 @@ INVOCATIONS = [
     ("classify-region", ["classify", "--alpha", "1", "--beta", "0.7"], 0),
     ("classify-points", ["classify", "--points", "0,0;0,1;1,0;1,1"], 0),
     ("classify-points-tiny", ["classify", "--points", "0,0;0,1e-7;1e-7,0;1e-7,1e-7"], 0),
+    # alpha * beta overflows to inf: a density failure
+    ("classify-overflow", ["classify", "--alpha", "1e200", "--beta", "1e200"], 0),
     ("stft-54", ["stft", "--L", "54", "--delta", "0.25", *STFT_SIGNAL], 0),
     ("stft-864", ["stft", "--L", "864", *STFT_SIGNAL], 0),
     ("stft-2048", ["stft", "--L", "2048", "--window", "sech", *STFT_SIGNAL], 0),
@@ -93,6 +101,12 @@ INVOCATIONS = [
     ("scan-nothing-snaps",
      ["scan", "--L", "64", "--delta", "0.125", "--alpha", "1e-300..1", "--beta", "0.25..2",
       "--res", "3", "--snap-tol", "1e-7"], 2),
+    # cell centres, a lattice step beta * T, and field phases 2 pi b x that overflow
+    ("scan-centres-overflow",
+     ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0..1.7e308", "--res", "2"], 2),
+    ("framebounds-step-overflow", ["framebounds", *BASE, "--alpha", "1", "--beta", "1e308"], 2),
+    ("hrt-extension-phase-overflow",
+     ["hrt-extension", *BASE, "--base", "0,0;0,1;1,0", "--domain", "0..1e308", "--res", "2"], 2),
     ("janssen-negative", ["janssen", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("bspline-dual-negative", ["bspline-dual", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("dual-not-frame", ["dual", *BASE, *BSPLINE, "--alpha", "2.25", "--beta", "0.25"], 3),

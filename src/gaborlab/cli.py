@@ -54,9 +54,9 @@ from .hrt import (
 )
 from .lattices import Lattice, SnapError, make_lattice
 from .serialize import (
+    compact_csv,
     field_csv,
     field_pgm,
-    fmt_float,
     framemap_csv,
     framemap_pgm,
     matrix_npy,
@@ -72,7 +72,7 @@ from .wilson import (
     wilson_onb_report,
     wilson_parseval_residual,
 )
-from .windows import WindowSpec, parse_window, sample_window
+from .windows import parse_window, sample_window
 
 # exit 3; every other ValueError (config, snap, wraparound, ...) exits 2.
 # LinAlgError subclasses ValueError, so it must be listed here.
@@ -250,24 +250,19 @@ def _cmd_compact(cfg: RunConfig, p, artifact: bool):
     spec = parse_window(cfg.window)
     if spec.family != "bspline":
         raise ConfigError(f"this command needs a bspline window, got {spec.label()}")
-    N = int(spec.param)
-    h = bspline_compact_dual(N, p.alpha, p.beta, m=p.m)
-    g = compact_window(WindowSpec("bspline", N))
+    h = bspline_compact_dual(int(spec.param), p.alpha, p.beta, m=p.m)
     result = {
         "support": [h.x_lo, h.x_hi],
         "step": h.step,
         "provenance": h.provenance,
-        "janssen_residual": janssen_residual(g, h, p.alpha, p.beta),
+        "janssen_residual": janssen_residual(compact_window(spec), h, p.alpha, p.beta),
         "alpha": p.alpha,
         "beta": p.beta,
     }
     if not artifact:
         return result, {}
-    lines = ["x,value"]
-    for x, v in zip(h.positions(), h.samples):
-        lines.append(f"{fmt_float(x)},{fmt_float(float(np.real(v)))}")
     result["artifact"] = "compact_dual.csv"
-    return result, {"compact_dual.csv": "\n".join(lines) + "\n"}
+    return result, {"compact_dual.csv": compact_csv(h)}
 
 
 def _cmd_scan(cfg: RunConfig, p):

@@ -179,3 +179,12 @@ def inverse_fourier(F: Signal) -> Signal:
     primal = F.grid.dual()  # dual of the dual grid is the primal grid
     out = F.grid.T * sign_j * u
     return Signal(primal, out)
+
+
+def _cell_centres(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centres lo + (hi - lo) (k + 1/2) / n of n equal cells; ValueError if one overflows."""
+    with np.errstate(over="ignore"):
+        centres = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    if not np.isfinite(centres).all():
+        raise ValueError(f"the cell centres of {lo:g}..{hi:g} overflow")
+    return centres

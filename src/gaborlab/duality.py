@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .windows import WindowSpec, bspline_support, bspline_values, support_interval, window_values
+from .windows import WindowSpec, bspline_values, support_interval, window_values
 
 __all__ = [
     "CompactSignal",
@@ -38,7 +38,6 @@ __all__ = [
 
 SLICE_COND_LIMIT = 1e10  # bspline_compact_dual: slice matrices at or above this are singular
 COMPACT_STEP = 1.0 / 256.0  # compact_window: sample spacing
-JANSSEN_N_X = 1024  # janssen_residual: x grid size in [0, alpha) when h has an evaluator
 
 
 class SingularSliceError(ValueError):
@@ -54,8 +53,9 @@ class CompactSignal:
     """Samples of a compactly supported function on a fine uniform grid.
 
     ``samples[i]`` sits at x = x_lo + i * step; the function is zero outside
-    [x_lo, x_hi].  ``evaluator`` (optional) evaluates the underlying closed
-    form at arbitrary points; solver outputs carry samples only.
+    [x_lo, x_hi].  ``evaluator`` (optional) is the underlying closed form,
+    which ``janssen_residual`` reads for the window g; ``eval_at`` reads the
+    samples only, and solver outputs carry samples only.
     """
 
     x_lo: float
@@ -68,8 +68,7 @@ class CompactSignal:
     def __post_init__(self) -> None:
         if not (self.x_lo < self.x_hi):
             raise ValueError("x_lo must be below x_hi")
-        s = np.asarray(self.samples)
-        s = s.copy()
+        s = np.array(self.samples)
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
@@ -77,21 +76,12 @@ class CompactSignal:
         return self.x_lo + self.step * np.arange(len(self.samples))
 
     def eval_at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary points: closed form if available, else
-        exact sample lookup (points must sit on the sample grid)."""
+        """Exact sample lookup; points inside [x_lo, x_hi) must sit on the sample grid."""
         x = np.asarray(x, dtype=float)
-        if self.evaluator is not None:
-            out = np.asarray(self.evaluator(x), dtype=self.samples.dtype)
-            out = np.where((x >= self.x_lo) & (x <= self.x_hi), out, 0.0)
-            return out
         pos = (x - self.x_lo) / self.step
         idx = np.rint(pos).astype(int)
-        off_grid = np.abs(pos - idx) > 1e-8
-        if np.any(off_grid & (x >= self.x_lo) & (x < self.x_hi)):
-            raise ValueError(
-                "sample-only compact signal evaluated off its grid; "
-                "supply an evaluator or align the query points"
-            )
+        if np.any((np.abs(pos - idx) > 1e-8) & (x >= self.x_lo) & (x < self.x_hi)):
+            raise ValueError("compact signal evaluated off its sample grid")
         inside = (idx >= 0) & (idx < len(self.samples))
         out = np.zeros_like(x, dtype=self.samples.dtype)
         out[inside] = self.samples[idx[inside]]
@@ -117,24 +107,20 @@ def compact_window(spec: WindowSpec) -> CompactSignal:
 
 
 def _fold_grid(h: CompactSignal, alpha: float) -> np.ndarray:
-    """X grid in [0, alpha) aligned with h's samples when possible."""
-    if h.evaluator is not None:
-        return alpha * (np.arange(JANSSEN_N_X) + 0.5) / JANSSEN_N_X
-    # residues of h's sample positions modulo alpha (uniform by construction)
-    offs = math.fmod(h.x_lo, alpha)
-    if offs < 0:
-        offs += alpha
+    """Residues of h's sample positions modulo alpha, ascending (uniform by construction)."""
     n = int(round(alpha / h.step))
-    base = offs + h.step * np.arange(n)
-    return np.sort(np.mod(base, alpha))
+    return np.sort(np.mod(h.x_lo % alpha + h.step * np.arange(n), alpha))
 
 
 def janssen_residual(g: CompactSignal, h: CompactSignal, alpha: float, beta: float) -> float:
     """Max deviation of the duality sum from beta * delta_{n,0}.
 
     The maximum runs over all rows n where the supports can overlap and over
-    a fine x grid in [0, alpha) (h's own sample residues when h has no
-    closed-form evaluator, so all lookups are exact).
+    h's own sample residues in [0, alpha), so every lookup of h is exact;
+    alpha must be a whole number of h's steps (a solver dual's step is
+    alpha / n_x), else the lookup raises.  g is read through its closed
+    form, zero outside [x_lo, x_hi].  Each translate of h is added into
+    every row at once.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
@@ -143,22 +129,20 @@ def janssen_residual(g: CompactSignal, h: CompactSignal, alpha: float, beta: flo
     x = _fold_grid(h, alpha)
     k_lo = int(math.floor((x.min() - h.x_hi) / alpha)) - 1
     k_hi = int(math.ceil((x.max() - h.x_lo) / alpha)) + 1
-    shift_lo = h.x_lo - g.x_hi
-    shift_hi = h.x_hi - g.x_lo
-    n_lo = int(math.floor(beta * shift_lo)) - 1
-    n_hi = int(math.ceil(beta * shift_hi)) + 1
-    worst = 0.0
-    for n in range(n_lo, n_hi + 1):
-        acc = np.zeros_like(x, dtype=complex)
-        for k in range(k_lo, k_hi + 1):
-            hv = h.eval_at(x - k * alpha)
-            if not np.any(hv):
-                continue
-            gv = g.eval_at(x - n / beta - k * alpha)
-            acc += np.conj(gv) * hv
-        target = beta if n == 0 else 0.0
-        worst = max(worst, float(np.max(np.abs(acc - target))))
-    return worst
+    n_lo = int(math.floor(beta * (h.x_lo - g.x_hi))) - 1
+    n_hi = int(math.ceil(beta * (h.x_hi - g.x_lo))) + 1
+    n = np.arange(n_lo, n_hi + 1)
+    rows = x - (n / beta)[:, None]  # rows[n, i] = x_i - n / beta
+    acc = np.zeros(rows.shape, dtype=complex)
+    for k in range(k_lo, k_hi + 1):
+        hv = h.eval_at(x - k * alpha)
+        if not np.any(hv):
+            continue
+        t = rows - k * alpha
+        gv = np.where((t >= g.x_lo) & (t <= g.x_hi), g.evaluator(t), 0.0)
+        acc += np.conj(gv) * hv
+    acc[n == 0] -= beta
+    return float(np.max(np.abs(acc)))
 
 
 def required_slice_order(N: int, alpha: float, beta: float) -> int:
@@ -265,18 +249,19 @@ def _g2_rule(alpha, beta) -> np.ndarray:
     if not ((alpha > 0) & (beta > 0)).all():
         raise ValueError("alpha and beta must be positive")
     near_int = (np.abs(beta - np.round(beta)) < 1e-9) & (np.round(beta) >= 2)
-    rules = (
-        near_int & (alpha * beta <= 1.0 + 1e-12) & (alpha < 2.0),
-        (alpha * beta >= 1.0) | (alpha >= 2.0),
-        (1.0 <= alpha) & (alpha < 2.0) & (beta < 1.0 / alpha),
-        beta <= 0.5,
-        beta <= 2.0 / (2.0 + alpha),
-        beta <= 4.0 / (2.0 + 3.0 * alpha),
-        (alpha < 0.5) & (beta <= 2.0 / (1.0 + alpha)),
-        (0.5 <= alpha) & (alpha <= 0.8) & (beta <= 6.0 / (2.0 + 5.0 * alpha)) & (beta > 1.0),
-        (2.0 / 3.0 <= alpha) & (alpha <= 1.0) & (beta < 1.0),
-        np.ones_like(near_int),  # unknown
-    )
+    with np.errstate(over="ignore"):  # a product that overflows to inf still compares right
+        rules = (
+            near_int & (alpha * beta <= 1.0 + 1e-12) & (alpha < 2.0),
+            (alpha * beta >= 1.0) | (alpha >= 2.0),
+            (1.0 <= alpha) & (alpha < 2.0) & (beta < 1.0 / alpha),
+            beta <= 0.5,
+            beta <= 2.0 / (2.0 + alpha),
+            beta <= 4.0 / (2.0 + 3.0 * alpha),
+            (alpha < 0.5) & (beta <= 2.0 / (1.0 + alpha)),
+            (0.5 <= alpha) & (alpha <= 0.8) & (beta <= 6.0 / (2.0 + 5.0 * alpha)) & (beta > 1.0),
+            (2.0 / 3.0 <= alpha) & (alpha <= 1.0) & (beta < 1.0),
+            np.ones_like(near_int),  # unknown
+        )
     return np.argmax(rules, axis=0)
 
 

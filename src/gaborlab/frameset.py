@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import SampleGrid
+from .core import SampleGrid, _cell_centres
 from .duality import RegionLabel, _g2_rule
 from .frames import frame_bounds
 from .lattices import Lattice, _snap
@@ -76,8 +76,7 @@ def scan_frame_set(
         raise ValueError("resolution must be at least 2")
     if not (alpha_range[0] >= 0 and beta_range[0] >= 0):
         raise ValueError("ranges must be non-negative")
-    k = np.arange(resolution) + 0.5  # cell centres at lo + (hi - lo) k / resolution
-    alphas, betas = (lo + (hi - lo) * k / resolution for lo, hi in (alpha_range, beta_range))
+    alphas, betas = (_cell_centres(lo, hi, resolution) for lo, hi in (alpha_range, beta_range))
     g = sample_window(spec, grid, wrap_tol=wrap_tol)
     labels = np.full((resolution, resolution), "", dtype=object)  # i indexes beta, j alpha
     if spec.family == "bspline" and int(spec.param) == 2:

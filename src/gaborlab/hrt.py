@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleGrid, Signal, tf_shift, translate
+from .core import SampleGrid, Signal, _cell_centres, tf_shift, translate
 from .windows import sample_window
 
 __all__ = [
@@ -344,6 +344,10 @@ def extension_field(
         raise ValueError("resolution must be at least 2")
     if not domain[0] < domain[1]:
         raise ValueError(f"domain needs lo < hi, got {domain[0]:g}..{domain[1]:g}")
+    a_grid = b_grid = _cell_centres(*domain, resolution)  # the same cell centers on both axes
+    # the phases 2 pi b x (|x| <= T/2) and the shifts a / delta must stay finite
+    if not math.isfinite(2.0 * math.pi * max(map(abs, domain)) * max(g.grid.T, 1.0 / g.grid.delta)):
+        raise ValueError(f"domain {domain[0]:g}..{domain[1]:g} overflows the phases of this grid")
     base, record = normalize_configuration(base)
     g = g.unit()
     fam, A = _family_gram(g, base.points)
@@ -351,9 +355,6 @@ def extension_field(
     if eigs[0] <= 1e-12 * eigs[-1]:
         raise ValueError(f"base Gramian is not positive definite (eigs {eigs})")
     Ainv = np.linalg.inv(A)
-
-    a_grid = domain[0] + (domain[1] - domain[0]) * (np.arange(resolution) + 0.5) / resolution
-    b_grid = a_grid  # the same cell centers on both axes
 
     x = g.grid.x()
     E = np.exp(-2j * np.pi * np.outer(b_grid, x))  # (n_b, L)

@@ -78,8 +78,11 @@ def _snap(grid: SampleGrid, alpha_targets, beta_targets) -> tuple[np.ndarray, ..
     alphas, betas = np.asarray(alpha_targets, dtype=float), np.asarray(beta_targets, dtype=float)
     if not ((alphas > 0).all() and (betas > 0).all()):
         raise ValueError("alpha and beta targets must be positive")
+    with np.errstate(over="ignore"):
+        steps = (alphas / grid.delta, betas * grid.T)
+    if not (np.isfinite(steps[0]).all() and np.isfinite(steps[1]).all()):
+        raise ValueError("alpha / delta or beta * T overflows for these targets")
     divs = np.array(divisors(grid.L))
-    steps = (alphas / grid.delta, betas * grid.T)
     a, b = (divs[np.abs(divs - x[:, None]).argmin(axis=1)] for x in steps)  # argmin: first of a tie
     return a, b, np.abs(a * grid.delta - alphas), np.abs(b / grid.T - betas)
 

@@ -24,6 +24,7 @@ __all__ = [
     "field_csv",
     "field_pgm",
     "signal_csv",
+    "compact_csv",
     "write_pgm_bytes",
     "matrix_npy",
 ]
@@ -150,6 +151,12 @@ def signal_csv(sig) -> str:
     im_text = not v.imag.any()
     flat[1::2] = np.where(np.signbit(v.imag), "-0", "0").tolist() if im_text else v.imag.tolist()
     return "index,x,re,im\n" + _signal_rows(sig.grid, im_text) % tuple(flat)
+
+
+def compact_csv(sig) -> str:
+    """Compact signal samples as CSV rows (x, value), the value being the real part."""
+    rows = np.column_stack([sig.positions(), sig.samples.real]).ravel().tolist()
+    return "x,value\n" + "%.17g,%.17g\n" * len(sig.samples) % tuple(rows)
 
 
 def matrix_npy(values: np.ndarray) -> bytes:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,53 @@ def test_non_finite_and_overflowing_numbers_exit_2(invoke, tmp_path, argv):
     code, out, _ = invoke(*argv, "--no-cache", "--outdir", str(tmp_path))
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "validation"
+
+
+_OVERFLOW = ("--L", "256", "--delta", "0.0625")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scan", "--alpha", "0.25..2", "--beta", "0..1.7e308", "--res", "2"),
+         "the cell centres of 0..1.7e+308 overflow"),
+        (("scan", "--window", "bspline:2", "--alpha", "0.25..2", "--beta", "0..1.7e308",
+          "--res", "2"), "the cell centres of 0..1.7e+308 overflow"),
+        # finite centres whose step beta * T overflows: no longer the smallest divisor
+        (("framebounds", "--alpha", "1", "--beta", "1e308"),
+         "alpha / delta or beta * T overflows for these targets"),
+        (("framebounds", "--alpha", "1e308", "--beta", "1"),
+         "alpha / delta or beta * T overflows for these targets"),
+        (("scan", "--alpha", "0.25..2", "--beta", "1e307..1.5e307", "--res", "2"),
+         "alpha / delta or beta * T overflows for these targets"),
+        # finite centres whose phases 2 pi b x overflow: no longer a NaN field
+        (("hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "0..1e308", "--res", "2"),
+         "domain 0..1e+308 overflows the phases of this grid"),
+        (("hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "-1e308..1e308", "--res", "2"),
+         "the cell centres of -1e+308..1e+308 overflow"),
+    ],
+    ids=["scan-centres", "scan-bspline-centres", "framebounds-beta-step",
+         "framebounds-alpha-step", "scan-beta-step", "extension-phases", "extension-centres"],
+)
+def test_overflowing_targets_and_ranges_exit_2_without_warning(invoke, tmp_path, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = invoke(*argv, *_OVERFLOW, "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": message}
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert os.listdir(tmp_path) == []
+
+
+def test_overflowing_region_product_is_a_density_failure(invoke, tmp_path):
+    # alpha * beta overflows to inf, which is >= 1: not a frame, and no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = invoke("classify", "--alpha", "1e200", "--beta", "1e200", "--no-cache",
+                              "--outdir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["result"]["label"] == "not_frame_density"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["janssen", "bspline-dual"])

@@ -1,5 +1,7 @@
 """Compact duals, the duality residual, and region classification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from gaborlab import (
     sample_window,
     synthesis,
 )
-from gaborlab.duality import CompactSignal, _g2_rule, required_slice_order
+from gaborlab.duality import CompactSignal, _fold_grid, _g2_rule, required_slice_order
 
 from conftest import random_signal
 
@@ -41,6 +43,81 @@ def test_tiling_translates_scaled_dual():
         evaluator=lambda x: 0.25 * g1.eval_at(x),
     )
     assert janssen_residual(g1, h, 1.0, 0.25) < 1e-12
+
+
+def _residual_reference(g, h, alpha, beta):
+    """The duality sum one row n at a time and, within it, one translate k at a time.
+
+    Rows and translates run over generous symmetric ranges of their own: the
+    extra rows sum to zero and the extra translates of h vanish on [0, alpha).
+    """
+    x = _fold_grid(h, alpha)
+    h_reach, g_reach = max(-h.x_lo, h.x_hi), max(-g.x_lo, g.x_hi)
+    k_max = math.ceil(h_reach / alpha) + 3
+    n_max = math.ceil(beta * (h_reach + g_reach)) + 3
+    worst = 0.0
+    for n in range(-n_max, n_max + 1):
+        acc = np.zeros_like(x, dtype=complex)
+        for k in range(-k_max, k_max + 1):
+            hv = h.eval_at(x - k * alpha)
+            if not np.any(hv):
+                continue
+            t = x - n / beta - k * alpha
+            gv = np.where((t >= g.x_lo) & (t <= g.x_hi), g.evaluator(t), 0.0)
+            acc += np.conj(gv) * hv
+        target = beta if n == 0 else 0.0
+        worst = max(worst, float(np.max(np.abs(acc - target))))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "N, alpha, beta, m, m_used",
+    [
+        (2, 1.0, 0.5, "auto", 1),
+        (2, 1.0, 0.7, "auto", 2),
+        (2, 0.4, 1.5, "auto", 3),
+        (3, 1.0, 0.4, "auto", 1),
+        (3, 1.0, 0.6, "auto", 2),
+        (3, 0.5, 1.0, "auto", 3),
+        (2, 1.0, 0.7, 2, 2),
+        (2, 0.4, 1.5, 3, 3),
+    ],
+)
+def test_residual_matches_row_by_row_loop(N, alpha, beta, m, m_used):
+    h = bspline_compact_dual(N, alpha, beta, m=m)
+    assert f"(m={m_used})" in h.provenance
+    g = compact_window(WindowSpec("bspline", N))
+    residual = janssen_residual(g, h, alpha, beta)
+    assert residual == _residual_reference(g, h, alpha, beta)
+    assert residual < 1e-8
+
+
+@pytest.mark.parametrize("N, alpha, beta", [(2, 1.0, 0.7), (3, 0.4, 0.75)])
+def test_residual_of_a_perturbed_dual_matches_row_by_row_loop(N, alpha, beta, rng):
+    # every row n now deviates, by far more than rounding
+    h = bspline_compact_dual(N, alpha, beta, n_x=256)
+    hp = CompactSignal(h.x_lo, h.x_hi, h.step, h.samples + rng.normal(size=h.samples.shape))
+    g = compact_window(WindowSpec("bspline", N))
+    residual = janssen_residual(g, hp, alpha, beta)
+    assert residual == _residual_reference(g, hp, alpha, beta)
+    assert residual > 0.1
+
+
+def test_self_dual_indicator_matches_row_by_row_loop():
+    # h carries the closed form too; the residual still reads h by its samples
+    g1 = compact_window(WindowSpec("bspline", 1))
+    for alpha, beta in [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)]:
+        assert janssen_residual(g1, g1, alpha, beta) == _residual_reference(g1, g1, alpha, beta)
+    assert janssen_residual(g1, g1, 1.0, 1.0) == 0.0
+    assert janssen_residual(g1, g1, 0.5, 1.0) == pytest.approx(1.0)  # two translates overlap
+
+
+def test_eval_at_reads_samples_only():
+    g1 = compact_window(WindowSpec("bspline", 1))
+    h = CompactSignal(g1.x_lo, g1.x_hi, g1.step, 2.0 * g1.samples, evaluator=g1.evaluator)
+    assert np.array_equal(h.eval_at(g1.positions()), 2.0 * g1.samples)
+    with pytest.raises(ValueError, match="off its sample grid"):
+        h.eval_at(np.array([0.5 * g1.step]))
 
 
 def test_required_slice_order_matches_regions():

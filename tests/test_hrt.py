@@ -55,6 +55,67 @@ def test_gramian_matches_ambiguity_oracle(g):
     assert rep.G[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
+def _gaussian_gram(p, q):
+    """Closed form <pi(p_k) g, pi(q_l) g> for the unit Gaussian g(x) = 2^(1/4) e^(-pi x^2).
+
+    With pi(a, b) = M_b T_a it is e^(pi i db (a_k + a_l)) e^(-pi (da^2 + db^2) / 2),
+    where (da, db) = p_k - q_l.
+    """
+    p, q = np.asarray(p, dtype=float)[:, None, :], np.asarray(q, dtype=float)[None, :, :]
+    da, db = np.moveaxis(p - q, -1, 0)
+    return np.exp(1j * np.pi * db * (p[..., 0] + q[..., 0]) - np.pi * (da**2 + db**2) / 2.0)
+
+
+def _random_sets(rng, count=20, size=5):
+    return [Configuration(tuple(map(tuple, rng.uniform(-2, 2, size=(size, 2)))))
+            for _ in range(count)]
+
+
+def test_gramian_matches_closed_form_gaussian(g, rng):
+    for cfg in _random_sets(rng):
+        G = _gaussian_gram(cfg.points, cfg.points)
+        rep = gramian(g, cfg)
+        assert np.max(np.abs(rep.G - G)) <= 1e-13
+        assert np.max(np.abs(rep.eigenvalues - np.linalg.eigvalsh(G))) <= 1e-13
+
+
+def test_independence_probe_matches_closed_form_gaussian(g, rng):
+    for cfg in _random_sets(rng):
+        G = _gaussian_gram(cfg.points, cfg.points)
+        probe = independence_probe(g, cfg)
+        assert np.max(np.abs(probe.gram.G - G)) <= 1e-13
+        # || sum_k c_k pi(p_k) g ||^2 = c^H conj(G) c, the smallest eigenvalue of G
+        c = probe.witness
+        energy = float(np.real(np.conj(c) @ np.conj(G) @ c))
+        assert abs(probe.residual**2 - energy) <= 1e-13
+        assert abs(energy - np.linalg.eigvalsh(G)[0]) <= 1e-13
+
+
+def test_schur_identity_matches_closed_form_gaussian(g, rng):
+    for cfg in _random_sets(rng, size=4):
+        base, point = Configuration(cfg.points[:3]), cfg.points[3]
+        G = _gaussian_gram(cfg.points, cfg.points)
+        A, u = G[:3, :3], G[:3, 3]
+        F = float(np.real(np.conj(u) @ np.linalg.solve(A, u)))
+        detG, detA = np.linalg.det(G).real, np.linalg.det(A).real
+        closed = abs(detG - (1.0 - F) * detA) / abs(detA)
+        assert abs(schur_identity_check(g, base, point) - closed) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "base", [((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)), ((1.0, 1.0), (1.0, 2.5), (2.3, 0.6))]
+)
+def test_extension_field_matches_closed_form_gaussian(g, base):
+    ext = extension_field(g, Configuration(base), domain=(-6.0, 6.0), resolution=64)
+    A = _gaussian_gram(ext.base.points, ext.base.points)
+    assert np.max(np.abs(ext.base_gram - A)) <= 1e-13
+    # u[k, (i, j)] = <pi(p_k) g, pi(a_j, b_i) g>, and F = u^H A^(-1) u
+    a, b = np.meshgrid(ext.a_grid, ext.b_grid)
+    u = _gaussian_gram(ext.base.points, np.column_stack([a.ravel(), b.ravel()]))
+    F = np.einsum("kn,kl,ln->n", np.conj(u), np.linalg.inv(A), u).real.reshape(a.shape)
+    assert np.max(np.abs(ext.F - F)) <= 1e-13
+
+
 def test_three_point_independent(g):
     rep = gramian(g, Configuration(((0, 0), (0, 1), (1, 0))))
     assert rep.eigenvalues[0] > 0.2

@@ -7,9 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from gaborlab import SampleGrid, Signal, serialize
+from gaborlab import SampleGrid, Signal, bspline_compact_dual, serialize
+from gaborlab.duality import CompactSignal
 from gaborlab.hrt import ExtensionField
-from gaborlab.serialize import field_csv, fmt_float, matrix_npy, signal_csv, write_pgm_bytes
+from gaborlab.serialize import (
+    compact_csv,
+    field_csv,
+    fmt_float,
+    matrix_npy,
+    signal_csv,
+    write_pgm_bytes,
+)
 
 SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.1, -1e300, 1.0]
 
@@ -47,6 +55,27 @@ def test_signal_csv_real_signal_matches_reference_loop(imag):
     values.imag = imag
     sig = Signal(grid, values)
     assert signal_csv(sig) == reference_signal_csv(sig)
+
+
+def reference_compact_csv(sig):
+    lines = ["x,value"]
+    for x, v in zip(sig.positions(), sig.samples):
+        lines.append(f"{fmt_float(x)},{fmt_float(float(np.real(v)))}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [
+        bspline_compact_dual(2, 1.0, 0.7),
+        bspline_compact_dual(3, 0.4, 0.75, n_x=100),
+        CompactSignal(-0.3, 0.3, 0.1, np.array(SPECIAL[:6])),
+        CompactSignal(-1.0, 1.0, 0.25, np.arange(8) + 1j * np.arange(8)),  # real part only
+    ],
+    ids=["bspline2-m2", "bspline3", "special", "complex"],
+)
+def test_compact_csv_matches_reference_loop(sig):
+    assert compact_csv(sig) == reference_compact_csv(sig)
 
 
 def reference_pgm(values, ref):
