@@ -98,6 +98,11 @@ INVOCATIONS = [
     ("period-overflow", ["framebounds", "--delta", "1e308", "--alpha", "1", "--beta", "1"], 2),
     ("scan-snap-tol-negative",
      ["scan", *BASE, "--alpha", "0.25..2", "--beta", "0.25..2", "--res", "2", "--snap-tol", "-1"], 2),
+    ("scan-reversed-range",
+     ["scan", *BASE, "--alpha", "2..0.25", "--beta", "0.25..2", "--res", "2"], 2),
+    ("scan-empty-range", ["scan", *BASE, "--alpha", "0.25..2", "--beta", "1..1", "--res", "2"], 2),
+    ("wrap-tol-negative",
+     ["framebounds", *BASE, *BSPLINE, "--alpha", "1", "--beta", "0.5", "--wrap-tol", "-1"], 2),
     ("scan-nothing-snaps",
      ["scan", "--L", "64", "--delta", "0.125", "--alpha", "1e-300..1", "--beta", "0.25..2",
       "--res", "3", "--snap-tol", "1e-7"], 2),

@@ -18,7 +18,6 @@ from .core import (
     inner,
     inverse_fourier,
     modulate,
-    norm,
     tf_shift,
     translate,
 )

@@ -197,7 +197,7 @@ COMMON = (
     Param("outdir", str, ".", keyed=False),  # artifact location does not change the result
     Param("cache", _switch, True, keyed=False),
     Param("threads", _integer, 1, keyed=False),  # results are schedule-independent
-    Param("wrap_tol", _finite, 1e-12),
+    Param("wrap_tol", _nonnegative, 1e-12),
 )
 
 

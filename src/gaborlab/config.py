@@ -8,7 +8,7 @@ the ``key = value`` file reader.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Collection
 
 __all__ = ["RunConfig", "load_config_file", "ConfigError"]
@@ -53,15 +53,13 @@ class RunConfig:
             raise ConfigError("threads must be at least 1")
 
 
-def load_config_file(path: str, keys: Collection[str] | None = None) -> dict[str, str]:
+def load_config_file(path: str, keys: Collection[str]) -> dict[str, str]:
     """Parse a line-oriented ``key = value`` file.
 
     Blank lines are skipped; a line must contain exactly one '='; keys
-    outside ``keys`` (by default the ``RunConfig`` fields) are errors.
-    Returns raw string values (typing happens at merge).
+    outside ``keys`` are errors.  Returns raw string values (typing happens
+    at merge).
     """
-    if keys is None:
-        keys = {f.name for f in fields(RunConfig)}
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -19,7 +19,6 @@ __all__ = [
     "Signal",
     "GridMismatchError",
     "inner",
-    "norm",
     "translate",
     "modulate",
     "tf_shift",
@@ -120,10 +119,6 @@ def inner(f: Signal, h: Signal) -> complex:
     return complex(f.grid.delta * np.vdot(h.values, f.values))
 
 
-def norm(f: Signal) -> float:
-    return f.norm
-
-
 def translate(f: Signal, a: float) -> Signal:
     """Periodic translation by ``a`` time units, (T_a f)(x) = f(x - a).
 
@@ -181,8 +176,15 @@ def inverse_fourier(F: Signal) -> Signal:
     return Signal(primal, out)
 
 
-def _cell_centres(lo: float, hi: float, n: int) -> np.ndarray:
-    """Centres lo + (hi - lo) (k + 1/2) / n of n equal cells; ValueError if one overflows."""
+def _cell_centres(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+    """Centres lo + (hi - lo) (k + 1/2) / n of n equal cells of the range ``name``.
+
+    ValueError if n < 2, if lo >= hi or if a centre overflows.
+    """
+    if n < 2:
+        raise ValueError("resolution must be at least 2")
+    if not lo < hi:
+        raise ValueError(f"{name} needs lo < hi, got {lo:g}..{hi:g}")
     with np.errstate(over="ignore"):
         centres = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     if not np.isfinite(centres).all():

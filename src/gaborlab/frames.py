@@ -10,9 +10,12 @@ once and solve, or take the inverse square root of, the p x p matrices in
 the same Zak domain.  :func:`frame_matrix` assembles the dense operator
 from the Walnut table instead, as the reference for small L.
 
-:func:`analysis` and :func:`synthesis` are the one time-frequency core of
-the package: the full phase-space STFT of :mod:`gaborlab.stft` is the
-finest lattice, a = b = 1.
+:func:`analysis` and :func:`synthesis` serve :func:`frame_apply`,
+:func:`least_norm_check`, and :func:`gaborlab.stft.stft` and
+:func:`gaborlab.stft.stft_invert`, which run them on the finest lattice,
+a = b = 1.  The ``stft`` command does not: it takes the row-blocked real
+pass of :func:`gaborlab.stft.stft_diagnostics`, which shares only the
+rolled window rows with them.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ class FrameReport:
 
     A: float
     B: float
-    lattice: Lattice
 
     @property
     def condition(self) -> float:
@@ -154,8 +156,8 @@ def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
     return S
 
 
-def _frame_report(eigs: np.ndarray, lat: Lattice) -> FrameReport:
-    return FrameReport(A=max(float(eigs.min()), 0.0), B=float(eigs.max()), lattice=lat)
+def _frame_report(eigs: np.ndarray) -> FrameReport:
+    return FrameReport(A=max(float(eigs.min()), 0.0), B=float(eigs.max()))
 
 
 def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
@@ -171,8 +173,8 @@ def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
     _check(g, lat)
     if lat.redundancy < 1:  # a b > L; the adjoint lattice is (L/b, L/a) = (P, L/a)
         adjoint = frame_bounds(g, Lattice(lat.n_freq, lat.n_time, lat.grid))
-        return FrameReport(A=0.0, B=lat.redundancy * adjoint.B, lattice=lat)
-    return _frame_report(np.linalg.eigvalsh(_symbol(g.values, lat, gcd(lat.a, lat.n_freq))), lat)
+        return FrameReport(A=0.0, B=lat.redundancy * adjoint.B)
+    return _frame_report(np.linalg.eigvalsh(_symbol(g.values, lat, gcd(lat.a, lat.n_freq))))
 
 
 def _require_frame(rep: FrameReport) -> None:
@@ -187,7 +189,7 @@ def _frame_symbol(g: Signal, lat: Lattice) -> np.ndarray:
     if lat.redundancy < 1:
         _require_frame(frame_bounds(g, lat))  # raises: A = 0
     sym = _symbol(g.values, lat, min(lat.a, lat.n_freq))
-    _require_frame(_frame_report(np.linalg.eigvalsh(sym[: gcd(lat.a, lat.n_freq)]), lat))
+    _require_frame(_frame_report(np.linalg.eigvalsh(sym[: gcd(lat.a, lat.n_freq)])))
     return sym
 
 

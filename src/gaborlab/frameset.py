@@ -24,11 +24,7 @@ from .frames import frame_bounds
 from .lattices import Lattice, _snap
 from .windows import WindowSpec, sample_window
 
-__all__ = ["FrameSetMap", "scan_frame_set", "RED_LINE_A_THRESHOLD"]
-
-# Red-line detection in scans uses an absolute lower-bound threshold because
-# the upper bound B also shrinks near degeneracy.
-RED_LINE_A_THRESHOLD = 1e-4
+__all__ = ["FrameSetMap", "scan_frame_set"]
 
 
 @dataclass(frozen=True)
@@ -72,11 +68,10 @@ def scan_frame_set(
     asks for a pool for those solves; it never gets more workers than there
     are cells or CPUs.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     if not (alpha_range[0] >= 0 and beta_range[0] >= 0):
         raise ValueError("ranges must be non-negative")
-    alphas, betas = (_cell_centres(lo, hi, resolution) for lo, hi in (alpha_range, beta_range))
+    alphas = _cell_centres(*alpha_range, resolution, "alpha")
+    betas = _cell_centres(*beta_range, resolution, "beta")
     g = sample_window(spec, grid, wrap_tol=wrap_tol)
     labels = np.full((resolution, resolution), "", dtype=object)  # i indexes beta, j alpha
     if spec.family == "bspline" and int(spec.param) == 2:

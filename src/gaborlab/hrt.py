@@ -84,7 +84,6 @@ class GramianReport:
     G: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray  # ascending
     det: float
-    smallest_singular_value: float
     condition: float
     independence_threshold: float
 
@@ -107,13 +106,11 @@ def _gram_report(G: np.ndarray) -> GramianReport:
     eigs = np.linalg.eigvalsh(G)
     n = len(G)
     thr = IND_RATIO * float(np.trace(G).real) / n
-    sigma_min = float(max(eigs[0], 0.0))
     cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
     return GramianReport(
         G=G,
         eigenvalues=eigs,
         det=float(np.linalg.det(G).real),
-        smallest_singular_value=sigma_min,
         condition=cond,
         independence_threshold=thr,
     )
@@ -340,11 +337,7 @@ def extension_field(
     """
     if len(base) != 3:
         raise ValueError("base configuration must have exactly three points")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if not domain[0] < domain[1]:
-        raise ValueError(f"domain needs lo < hi, got {domain[0]:g}..{domain[1]:g}")
-    a_grid = b_grid = _cell_centres(*domain, resolution)  # the same cell centers on both axes
+    a_grid = b_grid = _cell_centres(*domain, resolution, "domain")  # one grid for both axes
     # the phases 2 pi b x (|x| <= T/2) and the shifts a / delta must stay finite
     if not math.isfinite(2.0 * math.pi * max(map(abs, domain)) * max(g.grid.T, 1.0 / g.grid.delta)):
         raise ValueError(f"domain {domain[0]:g}..{domain[1]:g} overflows the phases of this grid")

@@ -52,12 +52,8 @@ def stable_json(obj: Any, indent: int = 0) -> str:
         if math.isnan(x) or math.isinf(x):
             return "null"
         return fmt_float(x)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return stable_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return stable_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -133,24 +129,15 @@ def field_pgm(field) -> bytes:
 
 
 @functools.lru_cache(maxsize=8)
-def _signal_rows(grid, im_text: bool) -> str:
+def _signal_rows(grid) -> str:
     """One %-format template per grid: the index and x columns filled in, re and im open."""
-    im = "%s" if im_text else "%.17g"
-    return "".join(f"{j},{x:.17g},%.17g,{im}\n" for j, x in enumerate(grid.x().tolist()))
+    return "".join(f"{j},{x:.17g},%.17g,%.17g\n" for j, x in enumerate(grid.x().tolist()))
 
 
 def signal_csv(sig) -> str:
-    """Signal samples as CSV rows (index, x, re, im).
-
-    An imaginary part that is all +-0 (real signals) is written as the
-    strings "0" and "-0" instead of formatting each float.
-    """
-    v = sig.values
-    flat = [None] * (2 * v.size)
-    flat[0::2] = v.real.tolist()
-    im_text = not v.imag.any()
-    flat[1::2] = np.where(np.signbit(v.imag), "-0", "0").tolist() if im_text else v.imag.tolist()
-    return "index,x,re,im\n" + _signal_rows(sig.grid, im_text) % tuple(flat)
+    """Signal samples as CSV rows (index, x, re, im)."""
+    re_im = sig.values.view(np.float64)  # re and im of each sample, interleaved
+    return "index,x,re,im\n" + _signal_rows(sig.grid) % tuple(re_im.tolist())
 
 
 def compact_csv(sig) -> str:

@@ -104,7 +104,6 @@ class ZakTightnessReport:
 
     symbol_min: float
     symbol_max: float
-    K: int
 
     @property
     def flatness(self) -> float:
@@ -128,6 +127,4 @@ def zak_tightness(g: Signal) -> ZakTightnessReport:
     """
     lat, _, _ = make_lattice(g.grid, 1.0, 0.5, snap_tol=1e-9 * g.grid.delta)
     symbol = _symbol(g.values, lat, lat.a).real
-    return ZakTightnessReport(
-        symbol_min=float(symbol.min()), symbol_max=float(symbol.max()), K=lat.n_freq
-    )
+    return ZakTightnessReport(symbol_min=float(symbol.min()), symbol_max=float(symbol.max()))

@@ -207,7 +207,7 @@ def test_cache_scans_only_when_the_running_total_passes_the_bound(tmp_path, monk
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("L = 512\ndelta = 0.0625\n\nwindow = bspline:2\n")
-    values = load_config_file(str(path))
+    values = load_config_file(str(path), {"L", "delta", "window"})
     assert values == {"L": "512", "delta": "0.0625", "window": "bspline:2"}
 
 
@@ -215,14 +215,14 @@ def test_config_file_malformed_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("alpha==\n")
     with pytest.raises(ConfigError, match="1"):
-        load_config_file(str(path))
+        load_config_file(str(path), {"L", "delta", "window"})
 
 
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("gamma = 3\n")
     with pytest.raises(ConfigError, match="gamma"):
-        load_config_file(str(path))
+        load_config_file(str(path), {"L", "delta", "window"})
 
 
 def test_flags_override_config_file(env, tmp_path):
@@ -341,6 +341,20 @@ def test_hrt_extension_command(env):
     assert abs(rep["result"]["integral"] - 3.0) / 3.0 < 0.02
     assert (env.outdir / "extension_field.csv").exists()
     assert (env.outdir / "extension_field.pgm").read_bytes().startswith(b"P5\n60 60\n255\n")
+
+
+def test_hrt_gram_command_matches_the_gaussian_closed_form(env):
+    points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, -0.75), (2**0.5, 2**0.5)]
+    text = ";".join(f"{a!r},{b!r}" for a, b in points)
+    code, out, _ = env("hrt-gram", "--points", text, "--L", "256", "--delta", "0.0625", "--no-cache")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["n_points"] == len(points) and result["independent"] is True
+    # <M_b1 T_a1 g, M_b2 T_a2 g> for the unit Gaussian g(x) = 2^(1/4) e^(-pi x^2)
+    a, b = np.array(points).T
+    da, db = a[:, None] - a, b[:, None] - b
+    G = np.exp(1j * np.pi * db * (a[:, None] + a)) * np.exp(-np.pi * (da**2 + db**2) / 2)
+    assert np.abs(np.array(result["eigenvalues"]) - np.linalg.eigvalsh(G)).max() < 1e-12
 
 
 def test_classify_commands(env):

@@ -83,6 +83,19 @@ def test_hit_restores_deleted_and_altered_artifacts(invoke, tmp_path):
     assert tree(outdir) == before
 
 
+def test_hit_leaves_artifacts_with_the_same_bytes_untouched(invoke, tmp_path):
+    outdir = tmp_path / "out"
+    argv = (*REQUESTS["hrt-extension"], "--outdir", str(outdir))
+    assert invoke(*argv)[0] == 0
+    past = 1_000_000_000 * 10**9  # 2001-09-09, in nanoseconds
+    for name in ("extension_field.csv", "extension_field.pgm"):
+        os.utime(outdir / name, ns=(past, past))
+    code, _, err = invoke(*argv)
+    assert code == 0 and "cache: hit" in err
+    for name in ("extension_field.csv", "extension_field.pgm"):
+        assert os.stat(outdir / name).st_mtime_ns == past
+
+
 def test_entry_from_other_source_fingerprint_misses(invoke, tmp_path, monkeypatch):
     argv = ("framebounds", *SMALL, "--alpha", "1", "--beta", "0.5", "--outdir", str(tmp_path))
     assert "cache: hit" not in invoke(*argv)[2]
@@ -242,6 +255,23 @@ def test_negative_snap_tolerance_exits_2(invoke, tmp_path, command):
     assert code == 0, out
 
 
+def test_negative_wrap_tolerance_exits_2(invoke, tmp_path):
+    argv = ("framebounds", *SMALL, "--window", "bspline:2", "--alpha", "1", "--beta", "0.5",
+            "--no-cache", "--outdir", str(tmp_path))
+    expected = "expected a non-negative number, got '-1'"
+    code, out, _ = invoke(*argv, "--wrap-tol", "-1")
+    assert code == 2
+    message = f"argument --wrap-tol: {expected}"
+    assert json.loads(out)["error"] == {"kind": "validation", "message": message}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("wrap_tol = -1\n")
+    code, out, _ = invoke(*argv, "--config", str(cfg))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": expected}
+    code, out, _ = invoke(*argv, "--wrap-tol", "0")  # the order-2 B-spline wraps by exactly 0
+    assert code == 0, out
+
+
 def test_scan_where_no_cell_snaps_exits_2_naming_the_tolerance(invoke, tmp_path):
     code, out, _ = invoke("scan", "--L", "64", "--delta", "0.125", "--alpha", "1e-300..1",
                           "--beta", "0.25..2", "--res", "3", "--snap-tol", "1e-7", "--no-cache",
@@ -282,6 +312,25 @@ def test_linalg_error_exits_3(invoke, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "numerical"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("framebounds", "--alpha", "1", "--beta", "1", "--L", "1001"), "L must be a positive even integer, got 1001"),
+        (("framebounds", "--alpha", "1", "--beta", "1", "--delta", "0"), "delta must be positive, got 0.0"),
+        (("framebounds", "--alpha", "1", "--beta", "1", "--threads", "0"), "threads must be at least 1"),
+        (("janssen", "--window", "gaussian", "--alpha", "1", "--beta", "0.5"),
+         "this command needs a bspline window, got gaussian"),
+        (("hrt-gram", "--points", ";"), "argument --points: empty point list"),
+    ],
+    ids=["odd-L", "zero-delta", "zero-threads", "janssen-gaussian", "empty-points"],
+)
+def test_out_of_range_value_exits_2_with_its_message(invoke, tmp_path, argv, message):
+    code, out, _ = invoke(*argv, "--no-cache", "--outdir", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": message}
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("res", ["0", "-3", "1"])
 def test_extension_resolution_below_two_exits_2(invoke, tmp_path, res):
     code, out, _ = invoke("hrt-extension", *SMALL, "--base", "0,0;0,1;1,0", "--domain", "-4..4",
@@ -303,13 +352,23 @@ def test_extension_tiny_base_matches_unit_base(invoke, tmp_path):
     assert trees[0] == trees[1] != {}
 
 
-@pytest.mark.parametrize("domain", ["10..10", "2..-2"])
-def test_extension_empty_domain_exits_2(invoke, tmp_path, domain):
-    code, out, _ = invoke("hrt-extension", *SMALL, "--base", "0,0;0,1;1,0", "--domain", domain,
-                          "--res", "8", "--no-cache", "--outdir", str(tmp_path))
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "10..10"),
+         "domain needs lo < hi, got 10..10"),
+        (("hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "2..-2"),
+         "domain needs lo < hi, got 2..-2"),
+        (("scan", "--alpha", "2..0.25", "--beta", "1..2"), "alpha needs lo < hi, got 2..0.25"),
+        (("scan", "--alpha", "0.25..2", "--beta", "1..1"), "beta needs lo < hi, got 1..1"),
+    ],
+    ids=["10..10", "2..-2", "scan-alpha-2..0.25", "scan-beta-1..1"],
+)
+def test_extension_empty_domain_exits_2(invoke, tmp_path, argv, message):
+    code, out, _ = invoke(*argv, *SMALL, "--res", "8", "--no-cache", "--outdir", str(tmp_path))
     assert code == 2
-    assert json.loads(out)["error"]["message"].startswith("domain needs lo < hi")
-    assert not (tmp_path / "extension_field.csv").exists()
+    assert json.loads(out)["error"]["message"] == message
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(

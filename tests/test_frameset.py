@@ -8,7 +8,6 @@ import pytest
 from gaborlab import SampleGrid, WindowSpec, scan_frame_set
 from gaborlab.duality import RegionLabel, classify_point_g2, region_expects_frame
 from gaborlab.frames import FRAME_RATIO
-from gaborlab.frameset import RED_LINE_A_THRESHOLD
 from gaborlab.serialize import fmt_float, framemap_csv, framemap_pgm
 
 GRID = SampleGrid(256, 1 / 16)
@@ -51,7 +50,7 @@ def test_g2_red_line_cells():
     g2 = sample_window(WindowSpec("bspline", 2), GRID)
     lat = Lattice(4, 32, GRID)  # alpha = 0.25, beta = 2
     rep = frame_bounds(g2, lat)
-    assert rep.A < RED_LINE_A_THRESHOLD
+    assert rep.A < 1e-4
 
 
 def test_unsnappable_cells_marked():
