@@ -69,6 +69,9 @@ INVOCATIONS = [
      ["wilson", "--L", "768", "--delta", "0.0625", "--beta", "0.375", "--variant", "general"], 0),
     ("hrt-gram", ["hrt-gram", "--points", QUESTION], 0),
     ("hrt-extension", ["hrt-extension", *EXT, "--res", "240"], 0),
+    # cli-mix's request: a fractional a0 on the default grid, whose gaussian has subnormal tails
+    ("hrt-extension-climix",
+     ["hrt-extension", "--base", "0,0;0,1;1.1,0", "--domain", "-6..6", "--res", "120"], 0),
     ("hrt-extension-moved",
      ["hrt-extension", "--base", "1,1;1,2;2.5,1", "--domain", "-5..5", "--res", "64"], 0),
     ("hrt-extension-tiny",

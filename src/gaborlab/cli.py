@@ -59,10 +59,10 @@ from .serialize import (
     field_pgm,
     framemap_csv,
     framemap_pgm,
+    magnitude_pgm,
     matrix_npy,
     signal_csv,
     stable_json,
-    write_pgm_bytes,
 )
 from .stft import NearOrthogonalPairError, stft_diagnostics
 from .wilson import (
@@ -368,7 +368,7 @@ def _cmd_stft(cfg: RunConfig, p):
     g = _sample(cfg, cfg.window).unit()
     sig_spec = p.signal_window or cfg.window
     f = _sample(cfg, sig_spec)
-    energy, mag, rec = stft_diagnostics(f, g)  # one real pass; |V| is the only L x L array
+    energy, mag, rec = stft_diagnostics(f, g)  # one real pass; |V| for k <= L/2 only
     result = {
         "signal_window": sig_spec,
         "energy": energy,
@@ -376,7 +376,7 @@ def _cmd_stft(cfg: RunConfig, p):
         "inversion_residual": Signal(f.grid, rec.values - f.values).norm / f.norm,
         "artifacts": ["stft_magnitude.pgm"],
     }
-    return result, {"stft_magnitude.pgm": write_pgm_bytes(mag[::-1, :], float(mag.max()))}
+    return result, {"stft_magnitude.pgm": magnitude_pgm(mag)}
 
 
 # The command table.

@@ -23,13 +23,14 @@ __all__ = [
     "framemap_pgm",
     "field_csv",
     "field_pgm",
+    "magnitude_pgm",
     "signal_csv",
     "compact_csv",
     "write_pgm_bytes",
     "matrix_npy",
 ]
 
-_PGM_BLOCK = 1 << 17  # float64 pixels quantized per block of write_pgm_bytes (1 MiB)
+_PGM_BLOCK = 1 << 17  # float64 pixels quantized per block of _quantize (1 MiB)
 
 
 def fmt_float(x: float) -> str:
@@ -84,15 +85,17 @@ def framemap_csv(fmap) -> str:
     return "".join(lines)
 
 
-def write_pgm_bytes(values: np.ndarray, ref: float) -> bytes:
-    """8-bit binary PGM (P5): pixel = rint(255 * clip(value/ref, 0, 1)).
+def _pgm_buffer(h: int, w: int) -> tuple[bytearray, np.ndarray]:
+    """One P5 image buffer: the header, then the pixels, writable as an (h, w) uint8 view."""
+    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    out = bytearray(len(header) + h * w)
+    out[: len(header)] = header
+    return out, np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(h, w)
 
-    Rows are written top to bottom as given; NaN maps to 0.  The image is
-    quantized in blocks of rows into the uint8 output, so no float copy of
-    the whole image is made.
-    """
+
+def _quantize(values: np.ndarray, ref: float, pix: np.ndarray) -> None:
+    """pix = rint(255 * clip(values/ref, 0, 1)), NaN -> 0, in blocks of rows."""
     h, w = values.shape
-    pix = np.empty((h, w), dtype=np.uint8)
     rows = max(1, _PGM_BLOCK // max(w, 1))
     buf = np.empty((min(rows, h), w))
     with np.errstate(invalid="ignore"):
@@ -103,8 +106,18 @@ def write_pgm_bytes(values: np.ndarray, ref: float) -> bytes:
             np.fmin(b, 1.0, out=b)
             b *= 255.0
             pix[i : i + rows] = np.rint(b, out=b)
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    return header + pix.tobytes()
+
+
+def write_pgm_bytes(values: np.ndarray, ref: float) -> bytes:
+    """8-bit binary PGM (P5): pixel = rint(255 * clip(value/ref, 0, 1)).
+
+    Rows are written top to bottom as given; NaN maps to 0.  The image is
+    quantized in blocks of rows straight into the file buffer, so no float
+    copy of the whole image is made.
+    """
+    out, pix = _pgm_buffer(*values.shape)
+    _quantize(values, ref, pix)
+    return bytes(out)
 
 
 def framemap_pgm(fmap) -> bytes:
@@ -114,18 +127,35 @@ def framemap_pgm(fmap) -> bytes:
 
 
 def field_csv(field) -> str:
-    """Extension field as CSV rows (a, b, F)."""
-    lines = ["a,b,F"]
-    a_text = [fmt_float(a) for a in field.a_grid.tolist()]
+    """Extension field as CSV rows (a, b, F).
+
+    Each b row fills one %-template: the a column written in once, the row's
+    b text put in place of the NUL marks, and F left open.
+    """
+    template = "".join(f"{a:.17g},\0,%.17g\n" for a in field.a_grid.tolist())
+    lines = ["a,b,F\n"]
     for b, row in zip(field.b_grid.tolist(), field.F.tolist()):
-        b_text = fmt_float(b)
-        lines.extend(f"{a},{b_text},{f:.17g}" for a, f in zip(a_text, row))
-    return "\n".join(lines) + "\n"
+        lines.append(template.replace("\0", fmt_float(b)) % tuple(row))
+    return "".join(lines)
 
 
 def field_pgm(field) -> bytes:
     """Grayscale map of the extension field, b increasing upward, white at F = 1."""
     return write_pgm_bytes(field.F[::-1, :], 1.0)
+
+
+def magnitude_pgm(half: np.ndarray) -> bytes:
+    """Grayscale map of |V| on the L x L torus, n increasing upward, white at its maximum.
+
+    ``half`` holds the columns k <= L/2 (as :func:`stft.stft_diagnostics`
+    returns them).  They are quantized once, and pixel columns L/2 - 1 ... 1
+    are copied to columns L/2 + 1 ... L - 1, since |V[n, L - k]| = |V[n, k]|.
+    """
+    h, m = half.shape
+    out, pix = _pgm_buffer(h, 2 * (m - 1))
+    _quantize(half[::-1, :], float(half.max()), pix[:, :m])
+    pix[:, m:] = pix[:, m - 2 : 0 : -1]
+    return bytes(out)
 
 
 @functools.lru_cache(maxsize=8)

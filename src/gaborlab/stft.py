@@ -24,10 +24,10 @@ The ``stft`` command needs only the energy, |V| and the reconstruction
 three in one pass over blocks of rows n and never holds V.  Every window
 family is real and L is even, so each row U[n, j] = f0[j] g0[j - n] of the
 analysis product is real and V[n, L - k] = conj(V[n, k]): a real FFT gives
-the columns k <= L/2, |V| mirrors into the rest, and the inverse real FFT
-of the same block feeds the reconstruction.  The pass holds the float64
-|V| (8 L^2 bytes) and one block, where ``stft`` + ``stft_invert`` + |V|
-held 32 L^2.
+the columns k <= L/2, which determine |V| on the whole torus, and the
+inverse real FFT of the same block feeds the reconstruction.  The pass
+holds the float64 half spectrum (4 L (L + 2) bytes) and one block, where
+``stft`` + ``stft_invert`` + |V| held 32 L^2.
 """
 
 from __future__ import annotations
@@ -145,13 +145,15 @@ def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
     """Energy, |V| and ``stft_invert(stft(f, g), g, g)`` of real f and g, without V.
 
     Returns ``(energy, magnitude, reconstruction)``: ``stft_energy`` of V,
-    the (L, L) float64 |V[n, k]| (a view whose memory runs from row L - 1
-    down to row 0, so ``magnitude[::-1]`` is C-contiguous) and the
-    reconstructed signal.  Each block of ``BLOCK_ROWS`` rows takes one real
-    FFT of U[n, j] = f0[j] g0[j - n], mirrors |V[n, L - k]| = |V[n, k]|,
-    adds its share of the energy, and sums the inverse real FFT times the
-    window rows into the reconstruction.  Complex f or g raise ValueError:
-    they have no conjugate symmetry, and :func:`stft` covers them.
+    the (L, L/2 + 1) float64 |V[n, k]| for k <= L/2 (a view whose memory runs
+    from row L - 1 down to row 0, so ``magnitude[::-1]`` is C-contiguous)
+    and the reconstructed signal.  The columns k > L/2 are left out because
+    |V[n, L - k]| = |V[n, k]| holds exactly: each row of the analysis product
+    is real.  Each block of ``BLOCK_ROWS`` rows takes one real FFT of
+    U[n, j] = f0[j] g0[j - n], adds its share of the energy, and sums the
+    inverse real FFT times the window rows into the reconstruction.  Complex
+    f or g raise ValueError: they have no conjugate symmetry, and
+    :func:`stft` covers them.
     """
     if g.grid != f.grid:
         raise GridMismatchError("window grid must match the signal grid")
@@ -162,7 +164,7 @@ def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
     L, half = grid.L, grid.L // 2 + 1
     f0 = f.values.real * _centering_signs(grid)
     G = _rolled_windows(np.roll(g.values.real, -grid.origin), Lattice(1, 1, grid))
-    mag = np.empty((L, L))[::-1]
+    mag = np.empty((L, half))[::-1]
     acc = np.zeros(L)
     energy = 0.0
     rows = min(BLOCK_ROWS, L)
@@ -174,8 +176,7 @@ def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
         np.fft.rfft(u, axis=1, out=x)
         np.abs(x, out=a)
         a *= grid.delta  # |V[n, k]| for k <= L/2
-        mag[n0:n1, :half] = a
-        mag[n0:n1, half:] = a[:, half - 2 : 0 : -1]
+        mag[n0:n1] = a
         a *= a  # columns 0 and L/2 appear once in a row of V, the others twice
         energy += 2.0 * a.sum() - a[:, 0].sum() - a[:, -1].sum()
         np.fft.irfft(x, n=L, axis=1, out=u)

@@ -375,6 +375,22 @@ def test_extension_field_matches_per_column_build(g, base):
     assert np.max(np.abs(ext.F - F)) <= 1e-13
 
 
+@pytest.mark.parametrize("a0", [1.0, 1.1, 0.37])
+def test_extension_field_flush_changes_no_value(g, a0):
+    # the raw exp(-pi x^2) holds subnormal samples near |x| = 15; the flushed window and
+    # the flushed operands must give the same F as the old product on the raw window
+    raw = Signal(GRID, np.exp(-np.pi * GRID.x() ** 2))
+    assert np.any((raw.values.real > 0) & (raw.values.real < np.finfo(np.float64).tiny))
+    ext = extension_field(g, Configuration(((0.0, 0.0), (0.0, 1.0), (a0, 0.0))), (-6.0, 6.0), 120)
+    u = raw.unit()
+    fam, A = hrt._family_gram(u, ext.base.points)
+    E = np.exp(-2j * np.pi * np.outer(ext.b_grid, GRID.x()))
+    conj_shifted = np.conj([translate(u, a).values for a in ext.a_grid])
+    U = np.stack([GRID.delta * (E @ (fam[k] * conj_shifted).T) for k in range(3)])
+    F = np.einsum("kij,kl,lij->ij", np.conj(U), np.linalg.inv(A), U).real
+    assert np.array_equal(ext.F, F)
+
+
 def test_independence_probe_shifts_each_point_once(g, monkeypatch):
     calls = []
 

@@ -13,6 +13,7 @@ from gaborlab import (
     Signal,
     WindowSpec,
     inner,
+    parse_window,
     sample_window,
     stft,
     stft_energy,
@@ -20,6 +21,9 @@ from gaborlab import (
     stft_invert,
     tf_shift,
 )
+
+from gaborlab.cli import run
+from gaborlab.serialize import write_pgm_bytes
 
 from conftest import random_signal
 
@@ -221,12 +225,28 @@ def test_diagnostics_match_the_complex_field(grid, window):
     V = stft(f, g)
     ref = np.abs(V.values)
     assert abs(energy - stft_energy(V)) <= 1e-14 * stft_energy(V)
-    assert mag.shape == (grid.L, grid.L)
-    assert np.max(np.abs(mag - ref)) <= 1e-14 * ref.max()
+    assert mag.shape == (grid.L, grid.L // 2 + 1)
+    assert np.max(np.abs(mag - ref[:, : grid.L // 2 + 1])) <= 1e-14 * ref.max()
     assert np.linalg.norm(rec.values - stft_invert(V, g, g).values) <= 1e-14 * np.linalg.norm(
         f.values
     )
     assert mag[::-1].flags.c_contiguous  # the PGM row order is the memory order
+
+
+@pytest.mark.parametrize("grid", DIAGNOSTIC_GRIDS, ids=lambda gr: f"L{gr.L}")
+@pytest.mark.parametrize("window", ["gaussian", "sech"])
+def test_magnitude_image_matches_the_full_plane(tmp_path, capsys, grid, window):
+    # the half spectrum, quantized once and mirrored as pixels, against |V| on all L columns
+    signal = "indicator:0.4"
+    argv = ["stft", "--L", str(grid.L), "--delta", repr(grid.delta), "--window", window,
+            "--signal-window", signal, "--wrap-tol", "10", "--no-cache", "--outdir", str(tmp_path)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    g = sample_window(WindowSpec(window), grid, wrap_tol=10.0).unit()
+    f = sample_window(parse_window(signal), grid, wrap_tol=10.0)
+    full = np.abs(stft(f, g).values)[::-1]
+    expected = write_pgm_bytes(full, float(full.max()))
+    assert (tmp_path / "stft_magnitude.pgm").read_bytes() == expected
 
 
 def test_diagnostics_reject_complex_signals(f, g):
@@ -256,3 +276,17 @@ def test_diagnostics_hold_less_than_one_complex_field():
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * 16 * grid.L**2
+
+
+def test_diagnostics_hold_the_half_spectrum():
+    # the float64 columns k <= L/2 are about 4 L^2 bytes; the full plane was 8 L^2
+    grid = SampleGrid(2048, 1 / 32)
+    g = sample_window(WindowSpec("sech"), grid).unit()
+    f = sample_window(WindowSpec("indicator", 1.5), grid)
+    tracemalloc.start()
+    try:
+        stft_diagnostics(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 8 * grid.L**2

@@ -148,3 +148,12 @@ def test_window_values_match_samples(wide_grid):
         s = sample_window(spec, wide_grid)
         assert np.array_equal(s.values.real, window_values(spec, wide_grid.x()))
         assert np.all(s.values.imag == 0.0)
+
+
+def test_gaussian_samples_hold_no_subnormal_value():
+    # exp(-pi x^2) is subnormal for |x| between about 15.0 and 15.4: those samples are zero
+    grid = SampleGrid(1024, 1 / 32)
+    v = sample_window(WindowSpec("gaussian"), grid).values.real
+    assert not np.any((v != 0.0) & (np.abs(v) < np.finfo(np.float64).tiny))
+    assert np.count_nonzero(v == 0.0) == np.count_nonzero(np.exp(-np.pi * grid.x() ** 2) < 1e-300)
+    assert window_values(WindowSpec("gaussian"), 0.0) == 1.0  # 0-d input
