@@ -115,6 +115,11 @@ INVOCATIONS = [
     ("framebounds-step-overflow", ["framebounds", *BASE, "--alpha", "1", "--beta", "1e308"], 2),
     ("hrt-extension-phase-overflow",
      ["hrt-extension", *BASE, "--base", "0,0;0,1;1,0", "--domain", "0..1e308", "--res", "2"], 2),
+    # shifts T/2 = 16 apart in time or 1/(2 delta) = 16 in frequency alias on the default grid
+    ("hrt-gram-alias-frequency", ["hrt-gram", "--points", "0,0;0,32"], 2),
+    ("hrt-gram-alias-time", ["hrt-gram", "--points", "0,0;32,0"], 2),
+    ("hrt-extension-alias",
+     ["hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "-40..40", "--res", "160"], 2),
     ("janssen-negative", ["janssen", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("bspline-dual-negative", ["bspline-dual", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("dual-not-frame", ["dual", *BASE, *BSPLINE, "--alpha", "2.25", "--beta", "0.25"], 3),

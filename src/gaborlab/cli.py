@@ -127,6 +127,8 @@ def _resolution(text: str) -> int:
 
 
 def _switch(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ConfigError(f"expected one of 1/true/yes/on or 0/false/no/off, got {text!r}")
     return text.lower() in ("1", "true", "yes", "on")
 
 
@@ -564,7 +566,7 @@ def run(argv: list[str]) -> int:
         return 0
     except NUMERICAL_ERRORS as exc:
         return _error("numerical", str(exc), 3)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # numpy names the allocation it refused
         return _error("validation", str(exc), 2)
     except OSError as exc:
         return _error("validation", f"I/O failure: {exc}", 2)

@@ -108,14 +108,10 @@ class Signal:
         return Signal(self.grid, self.values / n)
 
 
-def _require_same_grid(f: Signal, h: Signal) -> None:
-    if f.grid != h.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {h.grid}")
-
-
 def inner(f: Signal, h: Signal) -> complex:
     """Riemann approximation of the L2 pairing, delta * sum f * conj(h)."""
-    _require_same_grid(f, h)
+    if f.grid != h.grid:
+        raise GridMismatchError(f"grids differ: {f.grid} vs {h.grid}")
     return complex(f.grid.delta * np.vdot(h.values, f.values))
 
 
@@ -155,25 +151,34 @@ def fourier(f: Signal) -> Signal:
     Returns a Signal on the dual grid (step 1/T, period 1/delta) with
     values delta * sum_j f[j] exp(-2 pi i x_j xi_k).  Parseval holds exactly.
     """
-    L = f.grid.L
-    j0 = f.grid.origin
+    L, j0 = f.grid.L, f.grid.origin
     F = np.fft.fft(f.values)
     # out[k] = delta * (-1)^(k - j0) * F[(k - j0) mod L]
-    sign = np.where((np.arange(L) - j0) % 2 == 0, 1.0, -1.0)
-    out = f.grid.delta * sign * np.roll(F, j0)
+    out = f.grid.delta * _parity_signs(np.arange(L) - j0) * np.roll(F, j0)
     return Signal(f.grid.dual(), out)
 
 
 def inverse_fourier(F: Signal) -> Signal:
     """Inverse of :func:`fourier`; maps a dual-grid signal back."""
-    L = F.grid.L
-    j0 = F.grid.origin
-    sign_k = np.where(np.arange(L) % 2 == 0, 1.0, -1.0)
-    u = np.fft.ifft(F.values * sign_k)
-    sign_j = np.where((np.arange(L) - j0) % 2 == 0, 1.0, -1.0)
-    primal = F.grid.dual()  # dual of the dual grid is the primal grid
-    out = F.grid.T * sign_j * u
-    return Signal(primal, out)
+    L, j0 = F.grid.L, F.grid.origin
+    u = np.fft.ifft(F.values * _parity_signs(np.arange(L)))
+    # the dual of the dual grid is the primal grid
+    return Signal(F.grid.dual(), F.grid.T * _parity_signs(np.arange(L) - j0) * u)
+
+
+def _parity_signs(k: np.ndarray) -> np.ndarray:
+    """(-1)^k for the integers k, as float64 +1.0 and -1.0."""
+    return np.where(k % 2 == 0, 1.0, -1.0)
+
+
+def _zak(v: np.ndarray, K: int) -> np.ndarray:
+    """Z[n, k] = sum_m v[n + m K] e^{2 pi i m k / M} of the samples v, shape (K, M = L/K)."""
+    return np.fft.ifft(v.reshape(-1, K), axis=0, norm="forward").T  # rows m: v[n + m K]
+
+
+def _unzak(Z: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_zak`."""
+    return np.fft.fft(Z, axis=1, norm="forward").T.reshape(-1)
 
 
 def _cell_centres(lo: float, hi: float, n: int, name: str) -> np.ndarray:

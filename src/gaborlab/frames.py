@@ -1,14 +1,26 @@
 """Lattice Gabor systems: analysis, synthesis, frame operator and windows.
 
 Frame bounds, dual and tight windows come from the discrete Zibulski-Zeevi
-symbol of :mod:`gaborlab.zak`, built from one Zak transform of g: for each
-row r and frequency l, a Hermitian p x p matrix with p = a / gcd(a, P) and
-P = L/b.  The bounds eigensolve rows r < gcd(a, P), which carry every
-eigenvalue of S, and use the adjoint lattice when a b > L (see
-:func:`frame_bounds`).  Dual and tight windows build rows r < min(a, P)
-once and solve, or take the inverse square root of, the p x p matrices in
-the same Zak domain.  :func:`frame_matrix` assembles the dense operator
-from the Walnut table instead, as the reference for small L.
+symbol (Zibulski & Zeevi, ACHA 1997), built from one Zak transform of g.  A
+lattice with steps (a, b) has P = L/b, p = a / gcd(a, P) and q = b / p; p
+divides b, since a divides L = b P and a / gcd(a, P) is prime to
+P / gcd(a, P).  With K = lcm(a, P) = p P, the Zak transform
+Zg[n, l] = sum_m g[n + m K] e^{2 pi i m l / q} fills a K x q grid, and S
+acts on the p values Zf[r + u P, l], u < p, of each row r < P and
+frequency l < q as the Hermitian p x p matrix
+
+    C_l[u, v] = delta P sum_{n < K/a} Zg[r + u P - n a, l] conj(Zg[r + v P - n a, l]),
+
+with Zg[n - K, l] = e^{2 pi i l / q} Zg[n, l] for negative arguments.
+C depends on r only modulo a, so rows r < min(a, P) hold every matrix that
+acts on the rows r < P; row r + P is row r with u shifted cyclically, so
+rows r < gcd(a, P) carry every eigenvalue of S.  The bounds eigensolve
+those rows, on the adjoint lattice when a b > L (see :func:`frame_bounds`);
+dual and tight windows build rows r < min(a, P) once and solve, or take
+the inverse square root of, the p x p matrices.  At (alpha, beta) = (1, 1/2),
+P = 2a and p = 1: the symbol is the scalar delta P (|Zg[r, l]|^2 +
+|Zg[r + a, l]|^2), whose flatness :func:`gaborlab.zak.zak_tightness` checks.
+The dense :func:`frame_matrix`, from the Walnut table, is the small-L reference.
 
 :func:`analysis` and :func:`synthesis` serve :func:`frame_apply`,
 :func:`least_norm_check`, and :func:`gaborlab.stft.stft` and
@@ -25,9 +37,8 @@ from math import gcd
 
 import numpy as np
 
-from .core import GridMismatchError, Signal
+from .core import GridMismatchError, Signal, _parity_signs, _unzak, _zak
 from .lattices import Lattice
-from .zak import _signal_layout, _symbol, _symbol_layout
 
 __all__ = [
     "FrameReport",
@@ -109,8 +120,7 @@ def analysis(g: Signal, lat: Lattice, f: Signal) -> np.ndarray:
     b, P = lat.b, lat.n_freq  # P = L / b
     U = f.values[None, :] * _rolled_windows(np.conj(g.values), lat)
     folded = U if b == 1 else U.reshape(lat.n_time, b, P).sum(axis=1)
-    k = np.arange(P)
-    sign = np.where((k * b) % 2 == 0, 1.0, -1.0)  # exp(2 pi i k j0 / P)
+    sign = _parity_signs(np.arange(P) * b)  # exp(2 pi i k j0 / P)
     c = np.fft.fft(folded, axis=1, out=folded)  # folded is always a fresh buffer
     c *= lat.grid.delta * sign
     return c
@@ -124,8 +134,7 @@ def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
         raise ValueError(f"coefficients must be {(lat.n_time, lat.n_freq)}, got {c.shape}")
     L, b = lat.grid.L, lat.b
     P = lat.n_freq
-    k = np.arange(P)
-    sign = np.where((k * b) % 2 == 0, 1.0, -1.0)
+    sign = _parity_signs(np.arange(P) * b)
     w = c * (P * sign)  # one pass; the inverse FFT below scales by 1/P
     np.fft.ifft(w, axis=1, out=w)  # w[n, r], period P in j
     G = _rolled_windows(g.values, lat)
@@ -156,19 +165,45 @@ def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
     return S
 
 
+def _order(lat: Lattice) -> int:
+    """p = a / gcd(a, P), the size of the symbol matrices."""
+    return lat.a // gcd(lat.a, lat.n_freq)
+
+
+def _symbol(g: np.ndarray, lat: Lattice, rows: int) -> np.ndarray:
+    """The symbol of rows r < ``rows``: shape (rows, q, p, p), one p x p matrix per (r, l)."""
+    a, P, p = lat.a, lat.n_freq, _order(lat)
+    K = p * P
+    Z = _zak(g, K)
+    q = Z.shape[1]
+    Zx = np.concatenate([Z * np.exp(2j * np.pi * np.arange(q) / q), Z])  # Zx[y + K] = Zg[y], |y| < K
+    y = np.arange(rows)[:, None, None] + P * np.arange(p)[:, None] - a * np.arange(K // a)
+    F = Zx[y + K]  # F[r, u, n, l] = Zg[r + u P - n a, l]
+    return lat.grid.delta * P * np.einsum("runl,rvnl->rluv", F, np.conj(F))
+
+
+def _symbol_layout(v: np.ndarray, lat: Lattice) -> np.ndarray:
+    """x[r, l, u] = Zv[r + u P, l] for r < P: the vectors the symbol acts on."""
+    p, P = _order(lat), lat.n_freq
+    return _zak(v, p * P).reshape(p, P, -1).transpose(1, 2, 0)
+
+
+def _signal_layout(x: np.ndarray, lat: Lattice) -> Signal:
+    """Inverse of :func:`_symbol_layout`."""
+    return Signal(lat.grid, _unzak(x.transpose(2, 0, 1).reshape(-1, x.shape[1])))
+
+
 def _frame_report(eigs: np.ndarray) -> FrameReport:
     return FrameReport(A=max(float(eigs.min()), 0.0), B=float(eigs.max()))
 
 
 def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
-    """Optimal frame bounds A, B: the extreme eigenvalues of the symbol.
+    """Optimal frame bounds A, B: the extreme eigenvalues of the symbol rows r < gcd(a, P).
 
-    The symbol rows r < gcd(a, P), q matrices of size p each (see
-    :mod:`gaborlab.zak`), carry every eigenvalue of S.  When a b > L
-    the system has L^2 / (a b) < L atoms, so S is singular and A = 0.  By
-    Ron-Shen duality the nonzero spectrum of S is then that of the adjoint
-    lattice (L/b, L/a), scaled by L / (a b); that lattice has a b < L.  So
-    the bounds never build a symbol of more than a b <= L entries.
+    When a b > L the system has L^2 / (a b) < L atoms, so S is singular and
+    A = 0.  By Ron-Shen duality the nonzero spectrum of S is then that of the
+    adjoint lattice (L/b, L/a), scaled by L / (a b); that lattice has a b < L.
+    So the bounds never build a symbol of more than a b <= L entries.
     """
     _check(g, lat)
     if lat.redundancy < 1:  # a b > L; the adjoint lattice is (L/b, L/a) = (P, L/a)

@@ -96,6 +96,12 @@ def _family_gram(g: Signal, points) -> tuple[np.ndarray, np.ndarray]:
     """The family pi(p_k) g, one row per point, and its Hermitian Gramian."""
     if g.norm == 0.0:
         raise ValueError("window must be nonzero")
+    dt, df = np.ptp(np.asarray(points, dtype=float), axis=0)
+    if dt >= g.grid.T / 2 or df >= 0.5 / g.grid.delta:  # the periodic grid aliases such shifts
+        raise ValueError(
+            f"points {dt:g} apart in time and {df:g} in frequency alias on a grid with "
+            f"T/2 = {g.grid.T / 2:g} and 1/(2 delta) = {0.5 / g.grid.delta:g}"
+        )
     fam = np.asarray([tf_shift(g, p).values for p in points])
     G = g.grid.delta * (fam @ np.conj(fam.T))
     return fam, (G + G.conj().T) / 2.0
@@ -344,7 +350,8 @@ def extension_field(
     The window is normalized to unit norm; the base is brought to the
     normal form containing (0,0), (0,1), (a0,0) first (coordinates only).
     Grid points are cell centers, so the Riemann sum of F times the cell
-    area approximates the plane integral.
+    area approximates the plane integral.  Centres must stay below
+    min(T/2, 1/(2 delta)) in absolute value, where the grid aliases shifts.
     """
     if len(base) != 3:
         raise ValueError("base configuration must have exactly three points")
@@ -358,6 +365,12 @@ def extension_field(
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 1e-12 * eigs[-1]:
         raise ValueError(f"base Gramian is not positive definite (eigs {eigs})")
+    reach = min(g.grid.T / 2, 0.5 / g.grid.delta)
+    if np.abs(a_grid).max() >= reach:
+        raise ValueError(
+            f"domain {domain[0]:g}..{domain[1]:g} reaches min(T/2, 1/(2 delta)) = {reach:g}, "
+            "where the grid aliases shifts"
+        )
     Ainv = np.linalg.inv(A)
 
     x = g.grid.x()

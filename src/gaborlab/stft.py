@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridMismatchError, SampleGrid, Signal, inner
+from .core import GridMismatchError, SampleGrid, Signal, _parity_signs, inner
 from .frames import _rolled_windows, analysis, synthesis
 from .lattices import Lattice
 
@@ -88,11 +88,6 @@ class PhaseSpaceField:
         return self.grid.delta / self.grid.T
 
 
-def _centering_signs(grid: SampleGrid) -> np.ndarray:
-    """(-1)^(j - j0): the modulation M_{xi_0} by xi_0 = -j0 / T, exact on the grid."""
-    return np.where((np.arange(grid.L) - grid.origin) % 2 == 0, 1.0, -1.0)
-
-
 def _overlap(g: Signal, h: Signal) -> complex:
     """<h, g>, the inversion weight; rejected below ``MIN_OVERLAP``."""
     c = inner(h, g)
@@ -110,7 +105,7 @@ def stft(f: Signal, g: Signal) -> PhaseSpaceField:
         raise GridMismatchError("window grid must match the signal grid")
     grid = f.grid
     g0 = Signal(grid, np.roll(g.values, -grid.origin))
-    f0 = Signal(grid, f.values * _centering_signs(grid))
+    f0 = Signal(grid, f.values * _parity_signs(np.arange(grid.L) - grid.origin))
     return PhaseSpaceField._adopt(grid, analysis(g0, Lattice(1, 1, grid), f0))
 
 
@@ -138,7 +133,7 @@ def stft_invert(V: PhaseSpaceField, g: Signal, h: Signal) -> Signal:
     h0 = Signal(grid, np.roll(h.values, -grid.origin))
     r = synthesis(h0, Lattice(1, 1, grid), V.values).values
     cell = grid.delta / grid.T
-    return Signal(grid, (cell / c) * (r * _centering_signs(grid)))
+    return Signal(grid, (cell / c) * (r * _parity_signs(np.arange(grid.L) - grid.origin)))
 
 
 def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
@@ -162,7 +157,7 @@ def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
     c = _overlap(g, g)
     grid = f.grid
     L, half = grid.L, grid.L // 2 + 1
-    f0 = f.values.real * _centering_signs(grid)
+    f0 = f.values.real * _parity_signs(np.arange(grid.L) - grid.origin)
     G = _rolled_windows(np.roll(g.values.real, -grid.origin), Lattice(1, 1, grid))
     mag = np.empty((L, half))[::-1]
     acc = np.zeros(L)
@@ -182,5 +177,5 @@ def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
         np.fft.irfft(x, n=L, axis=1, out=u)
         u *= Gb
         acc += u.sum(axis=0)
-    rec = (grid.delta / c) * (acc * _centering_signs(grid))
+    rec = (grid.delta / c) * (acc * _parity_signs(np.arange(grid.L) - grid.origin))
     return float(grid.delta / grid.T * energy), mag, Signal(grid, rec)

@@ -301,6 +301,60 @@ def test_config_value_outside_choices_exits_2(invoke, tmp_path):
     assert "classical" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("word", ["maybe", "tru"])
+def test_config_switch_rejects_other_words(invoke, tmp_path, word):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cache = {word}\n")
+    code, out, _ = invoke("framebounds", "--config", str(cfg), *SMALL, "--alpha", "1", "--beta",
+                          "0.5", "--outdir", str(tmp_path))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation" and repr(word) in err["message"]
+
+
+@pytest.mark.parametrize("word, on", [("OFF", False), ("True", True)])
+def test_config_switch_accepts_any_letter_case(invoke, tmp_path, word, on):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cache = {word}\n")
+    code, out, _ = invoke("framebounds", "--config", str(cfg), *SMALL, "--alpha", "1", "--beta",
+                          "0.5", "--outdir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["config"]["cache"] is on
+    assert (tmp_path / "cache").exists() is on
+
+
+def test_failed_allocation_exits_2_and_caches_nothing(invoke, tmp_path, monkeypatch):
+    message = "Unable to allocate 298. TiB for an array with shape (1024, 199999, 199999)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "bspline_compact_dual", refuse)
+    code, out, _ = invoke("janssen", "--window", "bspline:2", "--alpha", "1", "--beta", "0.5",
+                          "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": message}
+    cache = tmp_path / "cache"
+    assert not cache.exists() or not [f for f in os.listdir(cache) if f.endswith(".json")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hrt-gram", "--points", "0,0;0,32"),
+        ("hrt-gram", "--points", "0,0;32,0"),
+        ("hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "-40..40", "--res", "160"),
+    ],
+)
+def test_shifts_the_default_grid_aliases_exit_2(invoke, tmp_path, argv):
+    # the default grid has T/2 = 16 and 1/(2 delta) = 16
+    code, out, _ = invoke(*argv, "--no-cache", "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation" and "alias" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_linalg_error_exits_3(invoke, monkeypatch):
     # LinAlgError subclasses ValueError; it is still a numerical failure
     def singular(*args):

@@ -327,6 +327,37 @@ def test_extension_field_rejects_empty_domain(g, domain):
         extension_field(g, BASE, domain=domain, resolution=8)
 
 
+# GRID has T/2 = 16 and 1/(2 delta) = 16: shifts that far apart alias on it
+@pytest.mark.parametrize(
+    "points",
+    [((0.0, 0.0), (0.0, 32.0)), ((0.0, 0.0), (32.0, 0.0)), ((-8.0, 0.0), (1.0, 1.0), (8.0, 2.0))],
+)
+def test_points_the_grid_aliases_are_rejected(g, points):
+    config = Configuration(points)
+    for probe in (gramian, independence_probe):
+        with pytest.raises(ValueError, match="alias"):
+            probe(g, config)
+
+
+def test_points_just_inside_the_alias_bounds_stay_independent(g):
+    rep = gramian(g, Configuration(((0.0, 0.0), (15.9, 0.0), (0.0, 15.9))))
+    assert rep.independent
+    assert rep.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_extension_domain_reaching_the_alias_bound_is_rejected(g):
+    with pytest.raises(ValueError, match="alias"):
+        extension_field(g, BASE, domain=(-40.0, 40.0), resolution=160)
+    with pytest.raises(ValueError, match="alias"):
+        extension_field(g, BASE, domain=(0.0, 32.1), resolution=2)  # centres 8.025 and 24.075
+    # the existing checks still come first, with their messages
+    with pytest.raises(ValueError, match="resolution must be at least 2"):
+        extension_field(g, BASE, domain=(-40.0, 40.0), resolution=1)
+    collinear = Configuration(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
+    with pytest.raises(ValueError, match="collinear"):
+        extension_field(g, collinear, domain=(-40.0, 40.0), resolution=8)
+
+
 def test_far_field_decay(field):
     # envelope of F over growing radii decreases toward zero
     radii = [2.0, 3.0, 4.0, 5.0]

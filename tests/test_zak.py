@@ -91,3 +91,16 @@ def test_unrepresentable_lattice():
     bad = SampleGrid(64, 0.1)  # 1/delta = 10 but T/2 = 3.2 not integral
     with pytest.raises(ValueError):
         zak_tightness(Signal(bad, np.zeros(64)))
+
+
+@pytest.mark.parametrize("L, delta", [(54, 1 / 3), (256, 1 / 8), (864, 1 / 12), (1024, 1 / 32)])
+def test_tightness_reads_the_scalar_zak_symbol(L, delta, rng):
+    # at (1, 1/2), P = 2a and p = 1: the symbol is delta P (|Zg[r, l]|^2 + |Zg[r + a, l]|^2), r < a
+    grid = SampleGrid(L, delta)
+    a = round(1 / delta)
+    for g in (sample_window(WindowSpec("sech"), grid, wrap_tol=1.0), random_signal(grid, rng)):
+        Z = np.abs(zak(g, 2 * a).values) ** 2
+        scalar = delta * 2 * a * (Z[:a] + Z[a:])
+        rep = zak_tightness(g)
+        assert rep.symbol_min == pytest.approx(scalar.min(), rel=1e-13)
+        assert rep.symbol_max == pytest.approx(scalar.max(), rel=1e-13)
