@@ -2,9 +2,9 @@
 
 Entries are keyed by a stable hash of the semantic request (command plus
 canonicalized configuration), so flag reordering hits the cache.  An entry
-file is one JSON header line (version, creation time) followed by the
-payload bytes unchanged, so its size is the header line plus the payload
-length; a version mismatch or a corrupt entry triggers recomputation.
+file is one JSON header line (the version) followed by the payload bytes
+unchanged, so its size is the header line plus the payload length; a
+version mismatch or a corrupt entry triggers recomputation.
 ``source_fingerprint`` hashes the package sources, so a version that
 includes it changes with every code edit.  Writes go through a
 temp file and an atomic rename, so concurrent identical invocations leave
@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 from typing import Callable
 
 from .serialize import stable_json
@@ -130,7 +129,7 @@ def cache_get_or_compute(
         except (ValueError, OSError) as exc:
             log(f"cache: corrupt entry {key[:12]} ({exc}), recomputing")
     payload = thunk()
-    header = json.dumps({"version": version, "created": time.time()}).encode() + b"\n"
+    header = json.dumps({"version": version}).encode() + b"\n"
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

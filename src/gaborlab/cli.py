@@ -4,10 +4,11 @@ Every command is one entry of ``COMMANDS``: its help text, its handler and
 its typed parameters.  That table drives the subcommand parser, the
 config-file keys and merge (flags, then config file, then defaults), the
 required-parameter check and the cache key.  A handler returns its result
-and its artifacts; ``run`` writes a JSON report to stdout and the CSV, PGM
-and NPY artifacts to the output directory.  Exit codes: 0 success, 2
-validation error, 3 numerical failure; errors print a machine-readable JSON
-object.
+and its artifacts; ``run`` writes the CSV, PGM and NPY artifacts to the
+output directory and a JSON report to stdout.  A report whose command wrote
+files lists them under ``result.artifacts``, sorted and relative to the
+output directory.  Exit codes: 0 success, 2 validation error, 3 numerical
+failure; errors print a machine-readable JSON object.
 Reports embed the resolved configuration, snap errors and the tool version.
 Repeated invocations are served from a content-addressed cache whose entries
 hold the result and the artifact bytes, so a hit restores the artifacts into
@@ -226,7 +227,6 @@ def _cmd_framebounds(cfg: RunConfig, p):
         "B": rep.B,
         "condition": rep.condition,
         "is_frame": rep.is_frame,
-        "method": "symbol",
         "lattice": echo,
     }
     return result, {}
@@ -237,15 +237,13 @@ def _cmd_canonical(cfg: RunConfig, p, which: str):
     lat, echo = _snap(g, p)
     w = (canonical_dual if which == "dual" else canonical_tight)(g, lat)
     rep = frame_bounds(w, lat)
-    name = f"{which}_window.csv"
     result = {
         "window_norm": w.norm,
         "system_A": rep.A,
         "system_B": rep.B,
-        "artifact": name,
         "lattice": echo,
     }
-    return result, {name: signal_csv(w)}
+    return result, {f"{which}_window.csv": signal_csv(w)}
 
 
 def _cmd_compact(cfg: RunConfig, p, artifact: bool):
@@ -261,10 +259,7 @@ def _cmd_compact(cfg: RunConfig, p, artifact: bool):
         "alpha": p.alpha,
         "beta": p.beta,
     }
-    if not artifact:
-        return result, {}
-    result["artifact"] = "compact_dual.csv"
-    return result, {"compact_dual.csv": compact_csv(h)}
+    return result, {"compact_dual.csv": compact_csv(h)} if artifact else {}
 
 
 def _cmd_scan(cfg: RunConfig, p):
@@ -285,7 +280,6 @@ def _cmd_scan(cfg: RunConfig, p):
         "cells": int(fmap.resolution**2),
         "a_min": float(finite.min()),
         "a_max": float(finite.max()),
-        "artifacts": ["frameset.csv", "frameset.pgm"],
     }
     return result, {"frameset.csv": framemap_csv(fmap), "frameset.pgm": framemap_pgm(fmap)}
 
@@ -319,7 +313,6 @@ def _cmd_wilson(cfg: RunConfig, p):
         "gram_deviation": onb.max_gram_deviation,
         "unit_norm_defect": onb.max_unit_norm_defect,
         "is_onb": onb.is_onb,
-        "artifacts": ["wilson_atoms/manifest.json"],
     }
     return result, artifacts
 
@@ -348,7 +341,6 @@ def _cmd_hrt_extension(cfg: RunConfig, p):
         "F_min": float(field.F.min()),
         "F_max": float(field.F.max()),
         "base": [list(pt) for pt in field.base.points],
-        "artifacts": ["extension_field.csv", "extension_field.pgm"],
     }
     artifacts = {"extension_field.csv": field_csv(field), "extension_field.pgm": field_pgm(field)}
     return result, artifacts
@@ -376,7 +368,6 @@ def _cmd_stft(cfg: RunConfig, p):
         "energy": energy,
         "isometry_residual": abs(energy - f.norm**2) / f.norm**2,
         "inversion_residual": Signal(f.grid, rec.values - f.values).norm / f.norm,
-        "artifacts": ["stft_magnitude.pgm"],
     }
     return result, {"stft_magnitude.pgm": magnitude_pgm(mag)}
 
@@ -481,13 +472,6 @@ def _resolve(args, params: tuple[Param, ...]) -> dict[str, Any]:
     return values
 
 
-def _semantic(command: str, values: dict[str, Any]) -> dict[str, Any]:
-    params = COMMON + COMMANDS[command].params
-    sem = {p.name: values[p.name] for p in params if p.keyed and values[p.name] is not None}
-    sem["command"] = command
-    return sem
-
-
 def _pack(result: dict, artifacts: dict[str, str | bytes]) -> bytes:
     """A JSON header line (result, artifact sizes), then the artifact bytes."""
     data = {name: a.encode() if isinstance(a, str) else a for name, a in artifacts.items()}
@@ -552,7 +536,8 @@ def run(argv: list[str]) -> int:
             return _pack(*command.handler(cfg, params))
 
         if cfg.cache:
-            key = cache_key(args.command, _semantic(args.command, values))
+            keyed = {p.name: values[p.name] for p in COMMON + command.params if p.keyed}
+            key = cache_key(args.command, {k: v for k, v in keyed.items() if v is not None})
             version = f"{__version__}+{source_fingerprint()}"
             payload, hit = cache_get_or_compute(key, compute, version=version)
             if hit:
@@ -561,6 +546,8 @@ def run(argv: list[str]) -> int:
             payload = compute()
         result, artifacts = _unpack(payload)
         _write_artifacts(cfg.outdir, artifacts)
+        if artifacts:
+            result["artifacts"] = sorted(artifacts)  # relative to outdir, as written
         report = {"command": args.command, "version": __version__, "config": asdict(cfg)}
         print(stable_json(dict(report, result=result)), flush=True)
         return 0

@@ -49,6 +49,7 @@ REQUESTS = {
     "hrt-extension": ("hrt-extension", *SMALL, "--base", "0,0;0,1;1,0", "--domain", "-4..4",
                       "--res", "12"),
     "tight": ("tight", *SMALL, "--alpha", "1", "--beta", "0.5"),
+    "dual": ("dual", *SMALL, "--alpha", "1", "--beta", "0.5"),
     "bspline-dual": ("bspline-dual", "--window", "bspline:2", "--alpha", "1", "--beta", "0.7"),
 }
 
@@ -58,17 +59,41 @@ def test_hit_with_new_outdir_restores_artifacts(invoke, tmp_path, name):
     first, second = tmp_path / "first", tmp_path / "second"
     code1, out1, err1 = invoke(*REQUESTS[name], "--outdir", str(first))
     code2, out2, err2 = invoke(*REQUESTS[name], "--outdir", str(second), "--threads", "2")
-    assert code1 == code2 == 0
-    assert "cache: hit" not in err1 and "cache: hit" in err2
+    code3, out3, err3 = invoke(*REQUESTS[name], "--outdir", str(first))
+    assert code1 == code2 == code3 == 0
+    assert "cache: hit" not in err1 and "cache: hit" in err2 and "cache: hit" in err3
     assert tree(second) == tree(first) != {}
-    rep1, rep2 = json.loads(out1), json.loads(out2)
+    rep1, rep2, rep3 = json.loads(out1), json.loads(out2), json.loads(out3)
     assert rep2["config"]["outdir"] == str(second)
     assert rep2["config"]["threads"] == 2
-    assert rep2["result"] == rep1["result"]
+    assert rep3["result"] == rep2["result"] == rep1["result"]
+    # a miss, a hit into a new outdir and a hit into the same one list exactly the files on disk
+    assert rep1["result"]["artifacts"] == sorted(tree(first))
+    assert "artifact" not in rep1["result"]
     if name == "wilson":
         assert sorted(tree(second)) == ["wilson_atoms/atoms.npy", "wilson_atoms/manifest.json"]
         atoms = np.load(second / "wilson_atoms" / "atoms.npy", allow_pickle=False)
         assert atoms.shape == (rep2["result"]["n_atoms"], 128) == (128, 128)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("framebounds", *SMALL, "--alpha", "1", "--beta", "0.5"),
+        ("janssen", "--window", "bspline:2", "--alpha", "1", "--beta", "0.7"),
+        ("hrt-gram", "--points", "0,0;0,1;1,0"),
+        ("classify", "--alpha", "1", "--beta", "0.7"),
+    ],
+    ids=["framebounds", "janssen", "hrt-gram", "classify"],
+)
+def test_report_without_files_lists_no_artifacts(invoke, tmp_path, argv):
+    outdir = tmp_path / "out"
+    for _ in range(2):  # a miss, then a hit
+        code, out, _ = invoke(*argv, "--outdir", str(outdir))
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert "artifacts" not in result and "artifact" not in result
+        assert tree(outdir) == {}
 
 
 def test_hit_restores_deleted_and_altered_artifacts(invoke, tmp_path):
