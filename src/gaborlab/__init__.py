@@ -16,7 +16,6 @@ from .core import (
     Signal,
     fourier,
     inner,
-    inverse_fourier,
     modulate,
     tf_shift,
     translate,
@@ -38,10 +37,7 @@ from .frames import (
     analysis,
     canonical_dual,
     canonical_tight,
-    frame_apply,
     frame_bounds,
-    frame_matrix,
-    gabor_atom,
     least_norm_check,
     synthesis,
 )
@@ -55,9 +51,7 @@ from .hrt import (
     extension_integral,
     far_field_radius,
     gramian,
-    independence_probe,
     normalize_configuration,
-    refinement_drift,
     schur_identity_check,
 )
 from .lattices import Lattice, SnapError, divisors, make_lattice

@@ -104,18 +104,11 @@ def _account(cache_dir: str, added: int, keep: str) -> None:
         os.close(fd)
 
 
-def cache_get_or_compute(
-    key: str,
-    thunk: Callable[[], bytes],
-    version: str,
-    cache_dir: str | None = None,
-    log=None,
-) -> tuple[bytes, bool]:
+def cache_get_or_compute(key: str, thunk: Callable[[], bytes], version: str) -> tuple[bytes, bool]:
     """Return (payload, hit).  ``thunk`` computes the payload bytes on miss."""
-    cache_dir = cache_dir or default_cache_dir()
+    cache_dir = default_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
-    log = log or (lambda msg: print(msg, file=sys.stderr))
     if os.path.exists(path):
         try:
             with open(path, "rb") as fh:
@@ -125,9 +118,9 @@ def cache_get_or_compute(
                     with contextlib.suppress(OSError):  # a read-only cache still serves hits
                         os.utime(path)  # most recently used
                     return payload, True
-            log(f"cache: version mismatch for {key[:12]}, recomputing")
+            print(f"cache: version mismatch for {key[:12]}, recomputing", file=sys.stderr)
         except (ValueError, OSError) as exc:
-            log(f"cache: corrupt entry {key[:12]} ({exc}), recomputing")
+            print(f"cache: corrupt entry {key[:12]} ({exc}), recomputing", file=sys.stderr)
     payload = thunk()
     header = json.dumps({"version": version}).encode() + b"\n"
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")

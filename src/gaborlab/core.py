@@ -23,7 +23,6 @@ __all__ = [
     "modulate",
     "tf_shift",
     "fourier",
-    "inverse_fourier",
 ]
 
 
@@ -156,14 +155,6 @@ def fourier(f: Signal) -> Signal:
     # out[k] = delta * (-1)^(k - j0) * F[(k - j0) mod L]
     out = f.grid.delta * _parity_signs(np.arange(L) - j0) * np.roll(F, j0)
     return Signal(f.grid.dual(), out)
-
-
-def inverse_fourier(F: Signal) -> Signal:
-    """Inverse of :func:`fourier`; maps a dual-grid signal back."""
-    L, j0 = F.grid.L, F.grid.origin
-    u = np.fft.ifft(F.values * _parity_signs(np.arange(L)))
-    # the dual of the dual grid is the primal grid
-    return Signal(F.grid.dual(), F.grid.T * _parity_signs(np.arange(L) - j0) * u)
 
 
 def _parity_signs(k: np.ndarray) -> np.ndarray:

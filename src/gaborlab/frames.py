@@ -20,14 +20,12 @@ dual and tight windows build rows r < min(a, P) once and solve, or take
 the inverse square root of, the p x p matrices.  At (alpha, beta) = (1, 1/2),
 P = 2a and p = 1: the symbol is the scalar delta P (|Zg[r, l]|^2 +
 |Zg[r + a, l]|^2), whose flatness :func:`gaborlab.zak.zak_tightness` checks.
-The dense :func:`frame_matrix`, from the Walnut table, is the small-L reference.
 
-:func:`analysis` and :func:`synthesis` serve :func:`frame_apply`,
-:func:`least_norm_check`, and :func:`gaborlab.stft.stft` and
-:func:`gaborlab.stft.stft_invert`, which run them on the finest lattice,
-a = b = 1.  The ``stft`` command does not: it takes the row-blocked real
-pass of :func:`gaborlab.stft.stft_diagnostics`, which shares only the
-rolled window rows with them.
+:func:`analysis` and :func:`synthesis` serve :func:`least_norm_check`, and
+:func:`gaborlab.stft.stft` and :func:`gaborlab.stft.stft_invert`, which run
+them on the finest lattice, a = b = 1.  The ``stft`` command does not: it
+takes the row-blocked real pass of :func:`gaborlab.stft.stft_diagnostics`,
+which shares only the rolled window rows with them.
 """
 
 from __future__ import annotations
@@ -43,11 +41,8 @@ from .lattices import Lattice
 __all__ = [
     "FrameReport",
     "NotAFrameError",
-    "gabor_atom",
     "analysis",
     "synthesis",
-    "frame_apply",
-    "frame_matrix",
     "frame_bounds",
     "canonical_dual",
     "canonical_tight",
@@ -86,15 +81,6 @@ class FrameReport:
 def _check(g: Signal, lat: Lattice) -> None:
     if g.grid != lat.grid:
         raise GridMismatchError("window grid does not match lattice grid")
-
-
-def gabor_atom(g: Signal, lat: Lattice, n: int, k: int) -> Signal:
-    """The atom M_{k beta} T_{n alpha} g (integer-sample operations)."""
-    _check(g, lat)
-    L = lat.grid.L
-    shifted = np.roll(g.values, (n * lat.a) % L)
-    phase = np.exp(2j * np.pi * k * lat.beta * lat.grid.x())
-    return Signal(lat.grid, phase * shifted)
 
 
 def _rolled_windows(g: np.ndarray, lat: Lattice) -> np.ndarray:
@@ -143,26 +129,6 @@ def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
         return Signal(lat.grid, w.sum(axis=0))
     out = np.sum(w[:, None, :] * G.reshape(lat.n_time, b, P), axis=0)  # j = s P + r
     return Signal(lat.grid, out.reshape(L))
-
-
-def frame_apply(g: Signal, lat: Lattice, f: Signal) -> Signal:
-    """Frame operator S f = synthesis(analysis(f))."""
-    return synthesis(g, lat, analysis(g, lat, f))
-
-
-def frame_matrix(g: Signal, lat: Lattice) -> np.ndarray:
-    """The dense L x L frame operator S[j, j + d P] = delta P W[j mod a, d] (small L only).
-
-    W[i, d] = sum_n g[i + n a] conj(g[i + d P + n a]) is the Walnut table.
-    """
-    _check(g, lat)
-    L, P = lat.grid.L, lat.n_freq
-    rolled = (g.values * np.roll(np.conj(g.values), -d * P) for d in range(lat.b))
-    W = np.stack([v.reshape(lat.n_time, lat.a).sum(axis=0) for v in rolled], axis=1)
-    j, d = np.arange(L)[:, None], np.arange(lat.b)
-    S = np.zeros((L, L), dtype=np.complex128)
-    S[j, (j + d * P) % L] = lat.grid.delta * P * W[j % lat.a, d]
-    return S
 
 
 def _order(lat: Lattice) -> int:

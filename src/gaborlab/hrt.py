@@ -2,14 +2,14 @@
 
 Finite configurations of time-frequency points are probed through Gramians
 of their shifted-window families: the smallest eigenvalue is a quantitative
-independence margin, its eigenvector a near-dependence witness.  For a base
-triple, the extension function F(a, b) = <A^{-1} u, u> (A the base Gramian,
-u the correlation column of one more shift) measures how close the extra
-shift comes to the span of the base; its integral over the plane equals the
-base size and 1 - F is the determinant ratio of the bordered Gramian.
+independence margin.  For a base triple, the extension function
+F(a, b) = <A^{-1} u, u> (A the base Gramian, u the correlation column of one
+more shift) measures how close the extra shift comes to the span of the
+base; its integral over the plane equals the base size and 1 - F is the
+determinant ratio of the bordered Gramian.
 
 Nothing here proves or refutes independence; grids cannot certify the
-continuum statement.  Reports carry raw eigenvalues and refinement deltas.
+continuum statement.  Reports carry raw eigenvalues.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleGrid, Signal, _cell_centres, tf_shift, translate
-from .windows import sample_window
+from .core import Signal, _cell_centres, tf_shift, translate
 
 __all__ = [
     "Configuration",
     "GramianReport",
     "gramian",
-    "independence_probe",
-    "IndependenceReport",
     "classify_configuration",
     "normalize_configuration",
     "NormalizationRecord",
@@ -36,7 +33,6 @@ __all__ = [
     "extension_field",
     "extension_integral",
     "far_field_radius",
-    "refinement_drift",
     "schur_identity_check",
     "InsufficientCoverageError",
 ]
@@ -107,64 +103,17 @@ def _family_gram(g: Signal, points) -> tuple[np.ndarray, np.ndarray]:
     return fam, (G + G.conj().T) / 2.0
 
 
-def _gram_report(G: np.ndarray) -> GramianReport:
-    """Spectral summary of a Hermitian Gramian."""
+def gramian(g: Signal, config: Configuration) -> GramianReport:
+    """Gramian G[k, l] = <pi(p_k) g, pi(p_l) g> with spectral summary."""
+    G = _family_gram(g, config.points)[1]
     eigs = np.linalg.eigvalsh(G)
-    n = len(G)
-    thr = IND_RATIO * float(np.trace(G).real) / n
-    cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
     return GramianReport(
         G=G,
         eigenvalues=eigs,
         det=float(np.linalg.det(G).real),
-        condition=cond,
-        independence_threshold=thr,
+        condition=float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf,
+        independence_threshold=IND_RATIO * float(np.trace(G).real) / len(G),
     )
-
-
-def gramian(g: Signal, config: Configuration) -> GramianReport:
-    """Gramian G[k, l] = <pi(p_k) g, pi(p_l) g> with spectral summary."""
-    return _gram_report(_family_gram(g, config.points)[1])
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Gramian report plus the minimizing-coefficient witness."""
-
-    gram: GramianReport
-    witness: np.ndarray  # unit coefficient vector of the smallest eigenvalue
-    residual: float  # || sum_k c_k pi(p_k) g ||
-
-    @property
-    def rayleigh_gap(self) -> float:
-        """| residual^2 - lambda_min |, an internal consistency check."""
-        return abs(self.residual**2 - float(self.gram.eigenvalues[0]))
-
-
-def refinement_drift(window_spec, config: Configuration, grid: SampleGrid):
-    """Smallest Gramian eigenvalue at the given grid and a refined one.
-
-    Grids cannot certify independence; the drift of the smallest eigenvalue
-    under refinement (same period, delta / 2) exposes how much of the
-    reported margin is discretization.  Returns (coarse, fine, drift).
-    """
-    fine_grid = SampleGrid(grid.L * 2, grid.delta / 2)
-    coarse = float(gramian(sample_window(window_spec, grid).unit(), config).eigenvalues[0])
-    fine = float(gramian(sample_window(window_spec, fine_grid).unit(), config).eigenvalues[0])
-    drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
-    return coarse, fine, drift
-
-
-def independence_probe(g: Signal, config: Configuration) -> IndependenceReport:
-    """Smallest-eigenvalue witness of near-dependence for the shift family."""
-    fam, G = _family_gram(g, config.points)
-    rep = _gram_report(G)
-    w, U = np.linalg.eigh(G)
-    # || sum_k c_k phi_k ||^2 = c^H conj(G) c, so the minimizing coefficients
-    # are the conjugate of the smallest eigenvector of G
-    c = np.conj(U[:, 0])
-    combo = Signal(g.grid, c @ fam)
-    return IndependenceReport(gram=rep, witness=c, residual=combo.norm)
 
 
 # ---------------------------------------------------------------------------

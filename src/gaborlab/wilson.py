@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleGrid, Signal, fourier
+from .core import SampleGrid, Signal, _parity_signs, fourier
 from .frames import _rolled_windows, canonical_tight
 from .lattices import Lattice, make_lattice
 from .windows import WindowSpec, sample_window
@@ -164,7 +164,7 @@ def build_wilson_general(g: Signal, beta: float) -> WilsonSystem:
     def row(m, j, R, out):
         plus = np.exp(2j * np.pi * m * x)
         w = np.exp(-2j * np.pi * beta * j * m)[:, None]
-        sgn = np.where((j + m) % 2 == 0, 1.0, -1.0)[:, None]
+        sgn = _parity_signs(j + m)[:, None]
         # sqrt(beta) (w plus + sgn conj(w) conj(plus)) R, one (J, L) temporary
         np.multiply(sgn * np.conj(w), np.conj(plus), out=out)
         out += w * plus

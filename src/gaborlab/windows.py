@@ -25,7 +25,6 @@ __all__ = [
     "sample_window",
     "wraparound_error",
     "bspline_values",
-    "bspline_closed_form",
     "bspline_support",
     "parse_window",
 ]
@@ -111,30 +110,6 @@ def bspline_values(N: int, x: np.ndarray) -> np.ndarray:
         sk = s[: N - k + 1]
         M = (sk * M[:-1] + (k - sk) * M[1:]) / (k - 1)
     return M[0]
-
-
-def bspline_closed_form(N: int, x: np.ndarray) -> np.ndarray:
-    """Hand-written piecewise formulas for N <= 4 (cross-check route)."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.zeros_like(x)
-    if N == 1:
-        out[(x >= -0.5) & (x < 0.5)] = 1.0
-    elif N == 2:
-        out = np.maximum(1.0 - ax, 0.0)
-    elif N == 3:
-        m0 = ax < 0.5
-        out[m0] = 0.75 - ax[m0] ** 2
-        m1 = (ax >= 0.5) & (ax < 1.5)
-        out[m1] = 0.5 * (ax[m1] - 1.5) ** 2
-    elif N == 4:
-        m0 = ax < 1.0
-        out[m0] = 2.0 / 3.0 - ax[m0] ** 2 + 0.5 * ax[m0] ** 3
-        m1 = (ax >= 1.0) & (ax < 2.0)
-        out[m1] = (2.0 - ax[m1]) ** 3 / 6.0
-    else:
-        raise ValueError("closed forms are provided for N <= 4 only")
-    return out
 
 
 # ---------------------------------------------------------------------------

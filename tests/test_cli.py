@@ -94,46 +94,49 @@ def test_cache_key_ignores_flag_order():
     assert cache_key("framebounds", sem1) == cache_key("framebounds", sem2)
 
 
-def test_cache_version_invalidates(tmp_path):
+def test_cache_version_invalidates(tmp_path, monkeypatch):
+    monkeypatch.setenv("GABORLAB_CACHE_DIR", str(tmp_path))
     calls = []
 
     def thunk():
         calls.append(1)
         return b"payload"
 
-    p1, hit1 = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
-    p2, hit2 = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
-    p3, hit3 = cache_get_or_compute("k", thunk, version="2", cache_dir=str(tmp_path))
+    p1, hit1 = cache_get_or_compute("k", thunk, version="1")
+    p2, hit2 = cache_get_or_compute("k", thunk, version="1")
+    p3, hit3 = cache_get_or_compute("k", thunk, version="2")
     assert (hit1, hit2, hit3) == (False, True, False)
     assert len(calls) == 2
     assert p1 == p2 == p3
 
 
-def test_cache_corruption_recovers(tmp_path):
+def test_cache_corruption_recovers(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GABORLAB_CACHE_DIR", str(tmp_path))
+
     def thunk():
         return b"fresh"
 
-    cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
+    cache_get_or_compute("k", thunk, version="1")
     path = os.path.join(str(tmp_path), "k.json")
     with open(path, "w") as fh:
         fh.write("{not json")
-    msgs = []
-    p, hit = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path), log=msgs.append)
+    p, hit = cache_get_or_compute("k", thunk, version="1")
     assert p == b"fresh" and not hit
-    assert any("corrupt" in m for m in msgs)
+    assert "corrupt" in capsys.readouterr().err
     # entry is restored
-    _, hit2 = cache_get_or_compute("k", thunk, version="1", cache_dir=str(tmp_path))
+    _, hit2 = cache_get_or_compute("k", thunk, version="1")
     assert hit2
 
 
-def test_cache_concurrent_single_entry(tmp_path):
+def test_cache_concurrent_single_entry(tmp_path, monkeypatch):
+    monkeypatch.setenv("GABORLAB_CACHE_DIR", str(tmp_path))
     results = []
 
     def thunk():
         return b"same-bytes"
 
     def worker():
-        p, _ = cache_get_or_compute("con", thunk, version="1", cache_dir=str(tmp_path))
+        p, _ = cache_get_or_compute("con", thunk, version="1")
         results.append(p)
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
@@ -146,10 +149,11 @@ def test_cache_concurrent_single_entry(tmp_path):
     assert entries == ["con.json"]
 
 
-def test_cache_entry_holds_the_payload_bytes_unchanged(tmp_path):
+def test_cache_entry_holds_the_payload_bytes_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setenv("GABORLAB_CACHE_DIR", str(tmp_path))
     payload = b"head\r\nline\0\xff\xfe\n\r" + bytes(range(256))
-    p1, hit1 = cache_get_or_compute("raw", lambda: payload, version="1", cache_dir=str(tmp_path))
-    p2, hit2 = cache_get_or_compute("raw", lambda: b"", version="1", cache_dir=str(tmp_path))
+    p1, hit1 = cache_get_or_compute("raw", lambda: payload, version="1")
+    p2, hit2 = cache_get_or_compute("raw", lambda: b"", version="1")
     assert (hit1, hit2) == (False, True)
     assert p1 == p2 == payload
     path = tmp_path / "raw.json"
@@ -163,23 +167,25 @@ def _entries(d):
 
 def test_cache_evicts_least_recently_used(tmp_path, monkeypatch):
     d = str(tmp_path)
+    monkeypatch.setenv("GABORLAB_CACHE_DIR", d)
     for key in ("old", "used", "mid"):
-        cache_get_or_compute(key, lambda: b"x" * 100, version="1", cache_dir=d)
+        cache_get_or_compute(key, lambda: b"x" * 100, version="1")
     for age, key in enumerate(("used", "old", "mid")):  # "used" oldest by write time
         os.utime(os.path.join(d, key + ".json"), ns=(10**9 * (age + 1),) * 2)
     entry = os.path.getsize(os.path.join(d, "old.json"))  # +-2 bytes: the header holds a time
-    _, hit = cache_get_or_compute("used", lambda: b"y", version="1", cache_dir=d)
+    _, hit = cache_get_or_compute("used", lambda: b"y", version="1")
     assert hit  # the hit makes "used" the most recently used entry
     monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", 3 * entry + entry // 2)
-    cache_get_or_compute("new", lambda: b"x" * 100, version="1", cache_dir=d)
+    cache_get_or_compute("new", lambda: b"x" * 100, version="1")
     assert _entries(d) == ["mid.json", "new.json", "used.json"]
     monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", 1)
-    cache_get_or_compute("big", lambda: b"x" * 1000, version="1", cache_dir=d)
+    cache_get_or_compute("big", lambda: b"x" * 1000, version="1")
     assert _entries(d) == ["big.json"]  # the newest entry stays even above the bound
 
 
 def test_cache_scans_only_when_the_running_total_passes_the_bound(tmp_path, monkeypatch):
     d = str(tmp_path)
+    monkeypatch.setenv("GABORLAB_CACHE_DIR", d)
     scans = []
     evict = gaborlab.cache._evict
     monkeypatch.setattr(gaborlab.cache, "_evict", lambda *a: scans.append(1) or evict(*a))
@@ -192,15 +198,15 @@ def test_cache_scans_only_when_the_running_total_passes_the_bound(tmp_path, monk
         return sum(os.path.getsize(os.path.join(d, f)) for f in _entries(d))
 
     for i in range(5):
-        cache_get_or_compute(f"k{i}", lambda: b"x" * 100, version="1", cache_dir=d)
+        cache_get_or_compute(f"k{i}", lambda: b"x" * 100, version="1")
     assert len(scans) == 1  # the first write finds no total and scans once
     assert usage() == on_disk()
     monkeypatch.setattr(gaborlab.cache, "MAX_CACHE_BYTES", on_disk() + 50)
-    cache_get_or_compute("k5", lambda: b"x" * 100, version="1", cache_dir=d)
+    cache_get_or_compute("k5", lambda: b"x" * 100, version="1")
     assert len(scans) == 2 and len(_entries(d)) == 5
     assert usage() == on_disk()  # the scan resets the total to the bytes left
     os.remove(os.path.join(d, gaborlab.cache.USAGE_FILE))
-    cache_get_or_compute("k6", lambda: b"x" * 10, version="1", cache_dir=d)
+    cache_get_or_compute("k6", lambda: b"x" * 10, version="1")
     assert len(scans) == 3 and usage() == on_disk()
 
 

@@ -30,8 +30,10 @@ from gaborlab.lattices import Lattice
 from gaborlab.serialize import stable_json
 from gaborlab.stft import PhaseSpaceField, stft_invert
 from gaborlab.wilson import _check_beta, make_wilson_window, taper_wilson_window
-from gaborlab.windows import WindowSpec, bspline_closed_form, sample_window, support_interval
+from gaborlab.windows import WindowSpec, sample_window, support_interval
 from gaborlab.zak import zak_tightness
+
+from oracles import bspline_closed_form
 
 GRID = SampleGrid(16, 0.25)  # T = 4: 1/delta = 4 and T/2 = 2 divide L
 OTHER = SampleGrid(16, 0.125)
@@ -80,9 +82,10 @@ def _cache_write_fails(tmp, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")
 
+    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp))
     monkeypatch.setattr(os, "replace", refuse)
     try:
-        cache.cache_get_or_compute("key", lambda: b"payload", version="v", cache_dir=str(tmp))
+        cache.cache_get_or_compute("key", lambda: b"payload", version="v")
     finally:
         assert not [f for f in os.listdir(tmp) if f.endswith(".tmp")]
 

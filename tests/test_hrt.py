@@ -17,7 +17,6 @@ from gaborlab import (
     extension_integral,
     far_field_radius,
     gramian,
-    independence_probe,
     normalize_configuration,
     sample_window,
     schur_identity_check,
@@ -79,18 +78,6 @@ def test_gramian_matches_closed_form_gaussian(g, rng):
         assert np.max(np.abs(rep.eigenvalues - np.linalg.eigvalsh(G))) <= 1e-13
 
 
-def test_independence_probe_matches_closed_form_gaussian(g, rng):
-    for cfg in _random_sets(rng):
-        G = _gaussian_gram(cfg.points, cfg.points)
-        probe = independence_probe(g, cfg)
-        assert np.max(np.abs(probe.gram.G - G)) <= 1e-13
-        # || sum_k c_k pi(p_k) g ||^2 = c^H conj(G) c, the smallest eigenvalue of G
-        c = probe.witness
-        energy = float(np.real(np.conj(c) @ np.conj(G) @ c))
-        assert abs(probe.residual**2 - energy) <= 1e-13
-        assert abs(energy - np.linalg.eigvalsh(G)[0]) <= 1e-13
-
-
 def test_schur_identity_matches_closed_form_gaussian(g, rng):
     for cfg in _random_sets(rng, size=4):
         base, point = Configuration(cfg.points[:3]), cfg.points[3]
@@ -137,13 +124,6 @@ def test_phase_invariance(g):
     rep2 = gramian(rotated, cfg)
     assert np.max(np.abs(rep.G - rep2.G)) < 1e-12
     assert np.max(np.abs(rep.eigenvalues - rep2.eigenvalues)) < 1e-12
-
-
-def test_rayleigh_witness_identity(g, rng):
-    for _ in range(5):
-        pts = tuple(map(tuple, rng.uniform(-1.5, 1.5, size=(5, 2))))
-        probe = independence_probe(g, Configuration(pts))
-        assert probe.rayleigh_gap < 1e-10
 
 
 def test_question_sets_well_conditioned(g):
@@ -333,10 +313,8 @@ def test_extension_field_rejects_empty_domain(g, domain):
     [((0.0, 0.0), (0.0, 32.0)), ((0.0, 0.0), (32.0, 0.0)), ((-8.0, 0.0), (1.0, 1.0), (8.0, 2.0))],
 )
 def test_points_the_grid_aliases_are_rejected(g, points):
-    config = Configuration(points)
-    for probe in (gramian, independence_probe):
-        with pytest.raises(ValueError, match="alias"):
-            probe(g, config)
+    with pytest.raises(ValueError, match="alias"):
+        gramian(g, Configuration(points))
 
 
 def test_points_just_inside_the_alias_bounds_stay_independent(g):
@@ -422,7 +400,7 @@ def test_extension_field_flush_changes_no_value(g, a0):
     assert np.array_equal(ext.F, F)
 
 
-def test_independence_probe_shifts_each_point_once(g, monkeypatch):
+def test_gramian_shifts_each_point_once(g, monkeypatch):
     calls = []
 
     def counting(f, point):
@@ -431,9 +409,8 @@ def test_independence_probe_shifts_each_point_once(g, monkeypatch):
 
     monkeypatch.setattr(hrt, "tf_shift", counting)
     cfg = Configuration(((0, 0), (0.4, 0.9), (1.2, -0.3), (-0.5, 0.2)))
-    probe = independence_probe(g, cfg)
+    gramian(g, cfg)
     assert calls == list(cfg.points)
-    assert probe.rayleigh_gap < 1e-10
 
 
 def test_schur_identity_random_windows(rng):
@@ -471,13 +448,3 @@ def test_restriction_principle_consistency():
                 four = Configuration(((0, 0), (0, 1), (c, 0), (a, b)))
                 rep = gramian(g, four)
                 assert rep.eigenvalues[0] > rep.independence_threshold
-
-
-def test_refinement_drift_helper():
-    from gaborlab import refinement_drift
-
-    grid = SampleGrid(512, 1 / 16)
-    cfg = Configuration(((0, 0), (0, 1), (1, 0)))
-    coarse, fine, drift = refinement_drift(WindowSpec("gaussian"), cfg, grid)
-    assert coarse > 0.2 and fine > 0.2
-    assert drift < 1e-10

@@ -9,7 +9,6 @@ from gaborlab import (
     Signal,
     WindowSpec,
     canonical_tight,
-    frame_matrix,
     sample_window,
     translate,
     zak,
@@ -17,6 +16,7 @@ from gaborlab import (
 )
 
 from conftest import random_signal
+from oracles import frame_matrix
 
 
 def test_unitarity(grid, rng):
