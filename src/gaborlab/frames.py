@@ -21,6 +21,12 @@ the inverse square root of, the p x p matrices.  At (alpha, beta) = (1, 1/2),
 P = 2a and p = 1: the symbol is the scalar delta P (|Zg[r, l]|^2 +
 |Zg[r + a, l]|^2), whose flatness :func:`gaborlab.zak.zak_tightness` checks.
 
+For b > 1, :func:`analysis` and its adjoint :func:`synthesis` use the same
+windows.  With n = n1 + n2 K/a, n1 < K/a, n2 < q, the coefficient c[n, k] is
+delta e^{2 pi i k b j0 / L} / q times the FFT over l -> n2 and r -> k of
+H[l, n1, r] = sum_u Zf[r + u P, l] conj(Zg[r + u P - n1 a, l]): about p
+multiply-adds per coefficient.  At b = 1 both take the rolled windows g[j - n a].
+
 :func:`analysis` and :func:`synthesis` serve :func:`least_norm_check`, and
 :func:`gaborlab.stft.stft` and :func:`gaborlab.stft.stft_invert`, which run
 them on the finest lattice, a = b = 1.  The ``stft`` command does not: it
@@ -99,16 +105,20 @@ def _rolled_windows(g: np.ndarray, lat: Lattice) -> np.ndarray:
 
 
 def analysis(g: Signal, lat: Lattice, f: Signal) -> np.ndarray:
-    """Coefficients c[n, k] = <f, M_{k beta} T_{n alpha} g>, via folded FFTs."""
+    """Coefficients c[n, k] = <f, M_{k beta} T_{n alpha} g> (see the module docstring)."""
     _check(g, lat)
     if f.grid != lat.grid:
         raise GridMismatchError("signal grid does not match lattice grid")
-    b, P = lat.b, lat.n_freq  # P = L / b
-    U = f.values[None, :] * _rolled_windows(np.conj(g.values), lat)
-    folded = U if b == 1 else U.reshape(lat.n_time, b, P).sum(axis=1)
-    sign = _parity_signs(np.arange(P) * b)  # exp(2 pi i k j0 / P)
-    c = np.fft.fft(folded, axis=1, out=folded)  # folded is always a fresh buffer
-    c *= lat.grid.delta * sign
+    b, P, p = lat.b, lat.n_freq, _order(lat)  # P = L / b; p = 1 when b = 1
+    q = b // p
+    if b == 1:
+        c = f.values[None, :] * _rolled_windows(np.conj(g.values), lat)
+        np.fft.fft(c, axis=1, out=c)
+    else:
+        Zf = _zak(f.values, p * P).reshape(p, P, q)
+        c = np.einsum("unrl,url->lnr", _zak_windows(g.values, lat), np.conj(Zf))  # conj(H)
+        c = np.fft.fftn(np.conj(c, out=c), axes=(0, 2), out=c).reshape(lat.n_time, P)
+    c *= lat.grid.delta / q * _parity_signs(np.arange(P) * b)  # exp(2 pi i k b j0 / L)
     return c
 
 
@@ -118,17 +128,17 @@ def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
     c = np.asarray(c, dtype=np.complex128)
     if c.shape != (lat.n_time, lat.n_freq):
         raise ValueError(f"coefficients must be {(lat.n_time, lat.n_freq)}, got {c.shape}")
-    L, b = lat.grid.L, lat.b
-    P = lat.n_freq
+    b, P, p = lat.b, lat.n_freq, _order(lat)
     sign = _parity_signs(np.arange(P) * b)
-    w = c * (P * sign)  # one pass; the inverse FFT below scales by 1/P
-    np.fft.ifft(w, axis=1, out=w)  # w[n, r], period P in j
-    G = _rolled_windows(g.values, lat)
     if b == 1:
-        w *= G
+        w = c * (P * sign)  # one pass; the inverse FFT below scales by 1/P
+        np.fft.ifft(w, axis=1, out=w)  # w[n, j]
+        w *= _rolled_windows(g.values, lat)
         return Signal(lat.grid, w.sum(axis=0))
-    out = np.sum(w[:, None, :] * G.reshape(lat.n_time, b, P), axis=0)  # j = s P + r
-    return Signal(lat.grid, out.reshape(L))
+    V = c.reshape(b // p, -1, P) * sign  # V[n2, n1, k], n = n1 + n2 K/a
+    np.fft.ifftn(V, axes=(0, 2), norm="forward", out=V)  # V[l, n1, r]
+    Zs = np.einsum("unrl,lnr->url", _zak_windows(g.values, lat), V)  # the Zak transform of the sum
+    return Signal(lat.grid, _unzak(Zs.reshape(p * P, -1)))
 
 
 def _order(lat: Lattice) -> int:
@@ -136,16 +146,26 @@ def _order(lat: Lattice) -> int:
     return lat.a // gcd(lat.a, lat.n_freq)
 
 
-def _symbol(g: np.ndarray, lat: Lattice, rows: int) -> np.ndarray:
-    """The symbol of rows r < ``rows``: shape (rows, q, p, p), one p x p matrix per (r, l)."""
+def _zak_windows(g: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Read-only view W[u, n, r, l] = Zg[r + u P - n a, l], u < p, n < K/a, r < P.
+
+    A strided view over the doubled array Zx below, as :func:`_rolled_windows` is over [g, g].
+    """
     a, P, p = lat.a, lat.n_freq, _order(lat)
     K = p * P
     Z = _zak(g, K)
     q = Z.shape[1]
     Zx = np.concatenate([Z * np.exp(2j * np.pi * np.arange(q) / q), Z])  # Zx[y + K] = Zg[y], |y| < K
-    y = np.arange(rows)[:, None, None] + P * np.arange(p)[:, None] - a * np.arange(K // a)
-    F = Zx[y + K]  # F[r, u, n, l] = Zg[r + u P - n a, l]
-    return lat.grid.delta * P * np.einsum("runl,rvnl->rluv", F, np.conj(F))
+    row, col = Zx.strides
+    return np.lib.stride_tricks.as_strided(
+        Zx[K:], shape=(p, K // a, P, q), strides=(P * row, -a * row, row, col), writeable=False
+    )
+
+
+def _symbol(g: np.ndarray, lat: Lattice, rows: int) -> np.ndarray:
+    """The symbol of rows r < ``rows``: shape (rows, q, p, p), one p x p matrix per (r, l)."""
+    W = _zak_windows(g, lat)[:, :, :rows]
+    return lat.grid.delta * lat.n_freq * np.einsum("unrl,vnrl->rluv", W, np.conj(W))
 
 
 def _symbol_layout(v: np.ndarray, lat: Lattice) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Lattice frames: operators, bounds, duals, tight windows, least norm."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,9 +73,19 @@ def test_analysis_matches_direct_inner_products(rng):
             assert c[n, k] == pytest.approx(inner(f, atom), abs=1e-12)
 
 
-# a = b = 1 (the STFT lattice), and a = 12 that does not divide P = 30
+# a = b = 1 (the STFT lattice, rolled windows), then every shape of the Zak path:
+# (p, q) = (2, 2), (2, 3), (3, 3), (1, 2), (4, 1) at redundancy 0.75, and (1, 8)
 @pytest.mark.parametrize(
-    "grid_, a, b", [(SampleGrid(24, 1 / 4), 1, 1), (SampleGrid(120, 1 / 10), 12, 4)]
+    "grid_, a, b",
+    [
+        (SampleGrid(24, 1 / 4), 1, 1),
+        (SampleGrid(120, 1 / 10), 12, 4),
+        (SampleGrid(72, 1 / 6), 8, 6),
+        (SampleGrid(108, 1 / 9), 9, 9),
+        (SampleGrid(64, 1 / 8), 4, 2),
+        (SampleGrid(48, 1 / 6), 16, 4),
+        (SampleGrid(96, 1 / 8), 4, 8),
+    ],
 )
 def test_analysis_and_synthesis_match_atom_sums(rng, grid_, a, b):
     lat = Lattice(a, b, grid_)
@@ -106,6 +118,26 @@ def test_rolled_windows_is_a_read_only_view(rng):
         G[1, 0] = 0.0
 
 
+def test_zak_windows_is_a_read_only_view(rng):
+    from gaborlab.frames import _zak_windows
+
+    lat = Lattice(12, 4, SampleGrid(120, 1 / 10))  # P = 30, p = 2, K = 60, q = 2
+    a, P, p, q = lat.a, lat.n_freq, 2, 2
+    K = p * P
+    g = random_signal(lat.grid, rng).values
+    m = np.arange(q)
+    Zg = g[np.arange(K)[:, None] + m * K] @ np.exp(2j * np.pi * np.outer(m, m) / q)  # Zg[x, l]
+    W = _zak_windows(g, lat)
+    assert W.shape == (p, K // a, P, q)
+    u, n, r, l = np.meshgrid(*(np.arange(s) for s in W.shape), indexing="ij")
+    y = r + u * P - n * a
+    phase = np.where(y < 0, np.exp(2j * np.pi * l / q), 1.0)  # Zg[y - K] = e^{2 pi i l/q} Zg[y]
+    assert np.allclose(W, phase * Zg[y % K, l], rtol=0, atol=1e-13)
+    assert W.base is not None and W.strides[1] < 0  # a strided view, not a gathered copy
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 1, 0, 0] = 0.0
+
+
 def test_analysis_onb_single_coefficient(grid):
     lat = Lattice(32, 32, grid)
     g = sample_window(WindowSpec("indicator", 1.0), grid)
@@ -125,7 +157,8 @@ def _broadcast_synthesis(g, lat, c):
     return np.sum(w[:, None, :] * G.reshape(lat.n_time, lat.b, P), axis=0).reshape(lat.grid.L)
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (4, 8)])
+# (4, 8) has p = 1, (12, 6) has p = 3: the Zak path against the folded product
+@pytest.mark.parametrize("a, b", [(1, 1), (4, 8), (12, 6)])
 def test_synthesis_matches_the_broadcast_product(rng, a, b):
     grid_ = SampleGrid(96, 1 / 8)
     lat = Lattice(a, b, grid_)
@@ -133,6 +166,26 @@ def test_synthesis_matches_the_broadcast_product(rng, a, b):
     c = rng.normal(size=(lat.n_time, lat.n_freq)) + 1j * rng.normal(size=(lat.n_time, lat.n_freq))
     ref = _broadcast_synthesis(g, lat, c)
     assert np.max(np.abs(synthesis(g, lat, c).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_analysis_and_synthesis_hold_memory_on_the_order_of_the_output(rng):
+    # the (L/a) x L product of f with every shifted window is b = 32 coefficient arrays
+    lat = Lattice(4, 32, SampleGrid(2048, 1 / 32))
+    out = lat.n_time * lat.n_freq * 16
+    g = sample_window(WindowSpec("gaussian"), lat.grid)
+    f = random_signal(lat.grid, rng)
+    c = analysis(g, lat, f)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: analysis(g, lat, f), lambda: synthesis(g, lat, c)):
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 8 * out, [peak / out for peak in peaks]
 
 
 def test_synthesis_delta_gives_atom(grid, gaussian):
