@@ -17,9 +17,19 @@ acts on the rows r < P; row r + P is row r with u shifted cyclically, so
 rows r < gcd(a, P) carry every eigenvalue of S.  The bounds eigensolve
 those rows, on the adjoint lattice when a b > L (see :func:`frame_bounds`);
 dual and tight windows build rows r < min(a, P) once and solve, or take
-the inverse square root of, the p x p matrices.  At (alpha, beta) = (1, 1/2),
-P = 2a and p = 1: the symbol is the scalar delta P (|Zg[r, l]|^2 +
-|Zg[r + a, l]|^2), whose flatness :func:`gaborlab.zak.zak_tightness` checks.
+the inverse square root of, the p x p matrices.
+
+When a divides P, p = 1 and each matrix is the real scalar C_l[0, 0]: the
+bounds are its extremes, the dual window divides by it and the tight window
+by its square root, with no LAPACK call.  Every frame lattice (a b <= L) on
+a power-of-two L is such a lattice, since a and P = L/b >= a are powers of
+two.  The numbers are bit for bit those of the batched LAPACK route:
+LAPACK's n = 1 quick return reads the real part of the entry (eigvalsh,
+eigh with the eigenvector 1), and the 1 x 1 solve of numpy's OpenBLAS
+multiplies by the reciprocal of the entry, as numpy's complex division does.  At
+(alpha, beta) = (1, 1/2), P = 2a: the symbol is the scalar delta P
+(|Zg[r, l]|^2 + |Zg[r + a, l]|^2), whose flatness
+:func:`gaborlab.zak.zak_tightness` checks.
 
 For b > 1, :func:`analysis` and its adjoint :func:`synthesis` use the same
 windows.  With n = n1 + n2 K/a, n1 < K/a, n2 < q, the coefficient c[n, k] is
@@ -195,7 +205,7 @@ def frame_bounds(g: Signal, lat: Lattice) -> FrameReport:
     if lat.redundancy < 1:  # a b > L; the adjoint lattice is (L/b, L/a) = (P, L/a)
         adjoint = frame_bounds(g, Lattice(lat.n_freq, lat.n_time, lat.grid))
         return FrameReport(A=0.0, B=lat.redundancy * adjoint.B)
-    return _frame_report(np.linalg.eigvalsh(_symbol(g.values, lat, gcd(lat.a, lat.n_freq))))
+    return _frame_report(_eigvalsh(_symbol(g.values, lat, gcd(lat.a, lat.n_freq))))
 
 
 def _require_frame(rep: FrameReport) -> None:
@@ -210,23 +220,44 @@ def _frame_symbol(g: Signal, lat: Lattice) -> np.ndarray:
     if lat.redundancy < 1:
         _require_frame(frame_bounds(g, lat))  # raises: A = 0
     sym = _symbol(g.values, lat, min(lat.a, lat.n_freq))
-    _require_frame(_frame_report(np.linalg.eigvalsh(sym[: gcd(lat.a, lat.n_freq)])))
+    _require_frame(_frame_report(_eigvalsh(sym[: gcd(lat.a, lat.n_freq)])))
     return sym
+
+
+def _eigvalsh(sym: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symbol matrices, shape (..., p).
+
+    At p = 1 each matrix is the real scalar sym[..., 0, 0], which is also
+    what LAPACK's n = 1 quick return gives, so no batched call is made.
+    """
+    return sym.real[..., 0] if sym.shape[-1] == 1 else np.linalg.eigvalsh(sym)
+
+
+def _divide_rows(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x[r, l, 0] / d[r mod a, l, 0] for the p = 1 layout x of rows r < P and d of rows r < a."""
+    return (x.reshape(-1, *d.shape) / d).reshape(x.shape)
 
 
 def canonical_dual(g: Signal, lat: Lattice) -> Signal:
     """Dual window solving S g_dual = g, one p x p system per (r, l)."""
-    sym = _frame_symbol(g, lat)[np.arange(lat.n_freq) % lat.a]
-    sol = np.linalg.solve(sym, _symbol_layout(g.values, lat)[..., None])[..., 0]
+    sym = _frame_symbol(g, lat)
+    x = _symbol_layout(g.values, lat)
+    if sym.shape[-1] == 1:  # p = 1: each system is a division
+        return _signal_layout(_divide_rows(x, sym[..., 0]), lat)
+    sol = np.linalg.solve(sym[np.arange(lat.n_freq) % lat.a], x[..., None])[..., 0]
     return _signal_layout(sol, lat)
 
 
 def canonical_tight(g: Signal, lat: Lattice) -> Signal:
     """Tight window S^{-1/2} g via the Hermitian eigendecomposition of the symbol."""
-    w, U = np.linalg.eigh(_frame_symbol(g, lat))
+    sym = _frame_symbol(g, lat)
+    x = _symbol_layout(g.values, lat)
+    if sym.shape[-1] == 1:  # p = 1: S^{-1/2} divides by the square root of the scalar
+        return _signal_layout(_divide_rows(x, np.sqrt(_eigvalsh(sym))), lat)
+    w, U = np.linalg.eigh(sym)
     r = np.arange(lat.n_freq) % lat.a
     w, U = w[r], U[r]
-    coeff = np.einsum("rlvu,rlv->rlu", np.conj(U), _symbol_layout(g.values, lat))  # U^H g
+    coeff = np.einsum("rlvu,rlv->rlu", np.conj(U), x)  # U^H g
     coeff /= np.sqrt(w)
     return _signal_layout(np.einsum("rlvu,rlu->rlv", U, coeff), lat)
 

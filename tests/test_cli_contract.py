@@ -616,3 +616,22 @@ def test_closed_stdout_exits_2_with_the_error_on_stderr(tmp_path):
     assert b"Traceback" not in proc.stderr
     error = json.loads(proc.stderr)["error"]
     assert error["kind"] == "validation" and "Broken pipe" in error["message"]
+
+
+def test_cli_import_loads_no_third_party_module_beyond_numpy():
+    # every fresh `gaborlab` process imports the CLI before its request, so a heavy import
+    # there is set-up cost on every invocation
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                                       os.environ.get("PYTHONPATH", "")]))
+
+    def loaded(module):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print(*sys.modules, sep='\\n')"],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        return set(proc.stdout.split())
+
+    extra = loaded("gaborlab.cli") - loaded("numpy")
+    assert "gaborlab.cli" in extra
+    top = {name.split(".")[0] for name in extra}
+    assert sorted(top - sys.stdlib_module_names - {"gaborlab"}) == []

@@ -1,6 +1,7 @@
 """Lattice frames: operators, bounds, duals, tight windows, least norm."""
 
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gaborlab import (
     analysis,
     canonical_dual,
     canonical_tight,
+    divisors,
     fourier,
     frame_bounds,
     inner,
@@ -27,6 +29,7 @@ from gaborlab import (
     tf_shift,
     zak_tightness,
 )
+from gaborlab import frames
 
 from conftest import random_signal
 from oracles import frame_matrix
@@ -549,3 +552,105 @@ def test_frame_check_sees_every_block_spectrum():
     for solve in (canonical_dual, canonical_tight):
         with pytest.raises(NotAFrameError):
             solve(g, lat)
+
+
+# Lattices where a divides P = L/b, so p = 1 and every symbol matrix is a
+# scalar.  The last has a b > L: only its bounds exist, from the adjoint
+# lattice (32, 16), whose p is 1 too.
+SCALAR = [
+    (SampleGrid(1024, 1 / 32), 32, 16),
+    (SampleGrid(1024, 1 / 32), 64, 8),
+    (SampleGrid(1024, 1 / 32), 16, 64),  # alpha beta = 1: the Gaussian is no frame
+    (SampleGrid(1024, 1 / 32), 2, 2),
+    (SampleGrid(864, 1 / 24), 27, 16),  # P = 54, q = 16
+    (SampleGrid(1024, 1 / 32), 64, 32),
+]
+
+
+def _scalar_window(kind, grid_):
+    if kind == "gaussian":
+        return sample_window(WindowSpec("gaussian"), grid_)
+    return random_signal(grid_, np.random.default_rng(grid_.L))
+
+
+def _lapack_bounds(g, lat):
+    """(A, B) from eigvalsh of the symbol rows r < gcd(a, P), or of the adjoint's when a b > L."""
+    if lat.redundancy < 1:
+        return 0.0, lat.redundancy * _lapack_bounds(g, Lattice(lat.n_freq, lat.n_time, lat.grid))[1]
+    eigs = np.linalg.eigvalsh(frames._symbol(g.values, lat, gcd(lat.a, lat.n_freq)))
+    return max(float(eigs.min()), 0.0), float(eigs.max())
+
+
+def _lapack_windows(g, lat):
+    """Dual and tight window from solve and eigh over the symbol rows r mod a."""
+    sym = frames._symbol(g.values, lat, min(lat.a, lat.n_freq))
+    x = frames._symbol_layout(g.values, lat)
+    r = np.arange(lat.n_freq) % lat.a
+    dual = np.linalg.solve(sym[r], x[..., None])[..., 0]
+    w, U = np.linalg.eigh(sym)
+    coeff = np.einsum("rlvu,rlv->rlu", np.conj(U[r]), x) / np.sqrt(w[r])
+    tight = np.einsum("rlvu,rlu->rlv", U[r], coeff)
+    return frames._signal_layout(dual, lat).values, frames._signal_layout(tight, lat).values
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "random"])
+@pytest.mark.parametrize("grid_, a, b", SCALAR)
+def test_scalar_symbol_matches_the_lapack_route(grid_, a, b, kind):
+    lat = Lattice(a, b, grid_)
+    solved = lat if lat.redundancy >= 1 else Lattice(lat.n_freq, lat.n_time, grid_)  # the adjoint
+    assert frames._order(solved) == 1
+    g = _scalar_window(kind, grid_)
+    rep = frame_bounds(g, lat)
+    assert np.array_equal((rep.A, rep.B), _lapack_bounds(g, lat))
+    if not rep.is_frame:
+        for solve in (canonical_dual, canonical_tight):
+            with pytest.raises(NotAFrameError) as err:
+                solve(g, lat)
+            assert str(err.value).endswith(f"A={rep.A:.3e}, B={rep.B:.3e} (threshold A > 1e-06 B)")
+        return
+    dual, tight = _lapack_windows(g, lat)
+    assert np.array_equal(canonical_dual(g, lat).values, dual)
+    assert np.array_equal(canonical_tight(g, lat).values, tight)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a batched LAPACK call on 1 x 1 symbol matrices")
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "random"])
+@pytest.mark.parametrize("grid_, a, b", SCALAR)
+def test_scalar_symbol_makes_no_lapack_call(monkeypatch, grid_, a, b, kind):
+    lat = Lattice(a, b, grid_)
+    g = _scalar_window(kind, grid_)
+    for name in ("eigvalsh", "solve", "eigh"):
+        monkeypatch.setattr(np.linalg, name, _refuse)
+    rep = frame_bounds(g, lat)
+    assert rep.B > 0
+    for solve in (canonical_dual, canonical_tight):
+        if rep.is_frame:
+            assert np.isfinite(solve(g, lat).values).all()
+        else:
+            with pytest.raises(NotAFrameError):
+                solve(g, lat)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize(
+    "grid_",
+    [SampleGrid(96, 1 / 8), SampleGrid(120, 1 / 10), SampleGrid(864, 1 / 24), SampleGrid(1024, 1 / 32)],
+)
+def test_sublattice_bounds_are_no_larger(rng, grid_, complex_values):
+    # With a | a' and b | b', the lattice (a', b') keeps a subset of the atoms of (a, b), so
+    # S' <= S and both of its bounds are no larger.  This reads only frame_bounds.
+    g = random_signal(grid_, rng, complex_values)
+    L = grid_.L
+    lats = [(a, b) for a in divisors(L) for b in divisors(L) if a * b <= L]
+    reps = {ab: frame_bounds(g, Lattice(*ab, grid_)) for ab in lats}
+    larger = [
+        ((a, b), (a2, b2))
+        for (a, b), rep in reps.items()
+        for (a2, b2), sub in reps.items()
+        if a2 % a == 0 and b2 % b == 0 and (a2, b2) != (a, b)
+        and not (sub.A <= rep.A + 1e-12 * rep.B and sub.B <= rep.B + 1e-12 * rep.B)
+    ]
+    assert not larger
