@@ -23,10 +23,13 @@ When a divides P, p = 1 and each matrix is the real scalar C_l[0, 0]: the
 bounds are its extremes, the dual window divides by it and the tight window
 by its square root, with no LAPACK call.  Every frame lattice (a b <= L) on
 a power-of-two L is such a lattice, since a and P = L/b >= a are powers of
-two.  The numbers are bit for bit those of the batched LAPACK route:
-LAPACK's n = 1 quick return reads the real part of the entry (eigvalsh,
-eigh with the eigenvector 1), and the 1 x 1 solve of numpy's OpenBLAS
-multiplies by the reciprocal of the entry, as numpy's complex division does.  At
+two.  The bounds and the tight window are what LAPACK's n = 1 quick
+return gives: the real part of the entry (eigvalsh, and eigh with the
+eigenvector 1).  The dual window matched the batched solve bit for bit on
+x86-64 with numpy's bundled OpenBLAS, whose 1 x 1 solve multiplies by the
+reciprocal of the entry, as numpy's complex division does when the entry's
+imaginary part is 0.  Another BLAS, or fused multiply-adds that leave that
+imaginary part a rounding residue, may differ in the last bit.  At
 (alpha, beta) = (1, 1/2), P = 2a: the symbol is the scalar delta P
 (|Zg[r, l]|^2 + |Zg[r + a, l]|^2), whose flatness
 :func:`gaborlab.zak.zak_tightness` checks.
