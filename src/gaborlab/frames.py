@@ -34,17 +34,18 @@ imaginary part a rounding residue, may differ in the last bit.  At
 (|Zg[r, l]|^2 + |Zg[r + a, l]|^2), whose flatness
 :func:`gaborlab.zak.zak_tightness` checks.
 
-For b > 1, :func:`analysis` and its adjoint :func:`synthesis` use the same
-windows.  With n = n1 + n2 K/a, n1 < K/a, n2 < q, the coefficient c[n, k] is
-delta e^{2 pi i k b j0 / L} / q times the FFT over l -> n2 and r -> k of
-H[l, n1, r] = sum_u Zf[r + u P, l] conj(Zg[r + u P - n1 a, l]): about p
-multiply-adds per coefficient.  At b = 1 both take the rolled windows g[j - n a].
+On every lattice, :func:`analysis` and its adjoint :func:`synthesis` use the
+same windows.  With n = n1 + n2 K/a, n1 < K/a, n2 < q, the coefficient
+c[n, k] is delta e^{2 pi i k b j0 / L} / q times the FFT over l -> n2 and
+r -> k of H[l, n1, r] = sum_u Zf[r + u P, l] conj(Zg[r + u P - n1 a, l]):
+about p multiply-adds per coefficient.  At b = 1, p = q = 1 and
+H[0, n, j] = f[j] conj(g[j - n a]).
 
 :func:`analysis` and :func:`synthesis` serve :func:`least_norm_check`, and
 :func:`gaborlab.stft.stft` and :func:`gaborlab.stft.stft_invert`, which run
-them on the finest lattice, a = b = 1.  The ``stft`` command does not: it
-takes the row-blocked real pass of :func:`gaborlab.stft.stft_diagnostics`,
-which shares only the rolled window rows with them.
+them on the finest lattice, a = b = 1.  :func:`gaborlab.stft.stft_diagnostics`
+and the Wilson atoms read the b = 1 slice of the same windows,
+W[0, n, j, 0] = g[(j - n a) mod L].
 """
 
 from __future__ import annotations
@@ -102,21 +103,6 @@ def _check(g: Signal, lat: Lattice) -> None:
         raise GridMismatchError("window grid does not match lattice grid")
 
 
-def _rolled_windows(g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Read-only view G[n, j] = g[(j - n a) mod L] for n = 0..L/a-1.
-
-    Row n of G starts n a samples before the second copy of ``[g, g]``, so
-    G is a strided view with row stride -a: no (L/a) x L index array and no
-    gather.
-    """
-    L = lat.grid.L
-    gg = np.concatenate([g, g])
-    step = gg.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        gg[L:], shape=(lat.n_time, L), strides=(-lat.a * step, step), writeable=False
-    )
-
-
 def analysis(g: Signal, lat: Lattice, f: Signal) -> np.ndarray:
     """Coefficients c[n, k] = <f, M_{k beta} T_{n alpha} g> (see the module docstring)."""
     _check(g, lat)
@@ -124,13 +110,9 @@ def analysis(g: Signal, lat: Lattice, f: Signal) -> np.ndarray:
         raise GridMismatchError("signal grid does not match lattice grid")
     b, P, p = lat.b, lat.n_freq, _order(lat)  # P = L / b; p = 1 when b = 1
     q = b // p
-    if b == 1:
-        c = f.values[None, :] * _rolled_windows(np.conj(g.values), lat)
-        np.fft.fft(c, axis=1, out=c)
-    else:
-        Zf = _zak(f.values, p * P).reshape(p, P, q)
-        c = np.einsum("unrl,url->lnr", _zak_windows(g.values, lat), np.conj(Zf))  # conj(H)
-        c = np.fft.fftn(np.conj(c, out=c), axes=(0, 2), out=c).reshape(lat.n_time, P)
+    Zf = _zak(f.values, p * P).reshape(p, P, q)
+    c = np.einsum("unrl,url->lnr", _zak_windows(g.values, lat), np.conj(Zf))  # conj(H)
+    c = np.fft.fftn(np.conj(c, out=c), axes=(0, 2), out=c).reshape(lat.n_time, P)
     c *= lat.grid.delta / q * _parity_signs(np.arange(P) * b)  # exp(2 pi i k b j0 / L)
     return c
 
@@ -143,11 +125,6 @@ def synthesis(g: Signal, lat: Lattice, c: np.ndarray) -> Signal:
         raise ValueError(f"coefficients must be {(lat.n_time, lat.n_freq)}, got {c.shape}")
     b, P, p = lat.b, lat.n_freq, _order(lat)
     sign = _parity_signs(np.arange(P) * b)
-    if b == 1:
-        w = c * (P * sign)  # one pass; the inverse FFT below scales by 1/P
-        np.fft.ifft(w, axis=1, out=w)  # w[n, j]
-        w *= _rolled_windows(g.values, lat)
-        return Signal(lat.grid, w.sum(axis=0))
     V = c.reshape(b // p, -1, P) * sign  # V[n2, n1, k], n = n1 + n2 K/a
     np.fft.ifftn(V, axes=(0, 2), norm="forward", out=V)  # V[l, n1, r]
     Zs = np.einsum("unrl,lnr->url", _zak_windows(g.values, lat), V)  # the Zak transform of the sum
@@ -162,7 +139,9 @@ def _order(lat: Lattice) -> int:
 def _zak_windows(g: np.ndarray, lat: Lattice) -> np.ndarray:
     """Read-only view W[u, n, r, l] = Zg[r + u P - n a, l], u < p, n < K/a, r < P.
 
-    A strided view over the doubled array Zx below, as :func:`_rolled_windows` is over [g, g].
+    A strided view over the doubled array Zx below, with row stride -a along n.  At
+    b = 1 (p = q = 1, K = L), W[0, :, :, 0] is the rolled windows g[(j - n a) mod L]
+    that :func:`gaborlab.stft.stft_diagnostics` and the Wilson atoms read.
     """
     a, P, p = lat.a, lat.n_freq, _order(lat)
     K = p * P

@@ -26,8 +26,9 @@ family is real and L is even, so each row U[n, j] = f0[j] g0[j - n] of the
 analysis product is real and V[n, L - k] = conj(V[n, k]): a real FFT gives
 the columns k <= L/2, which determine |V| on the whole torus, and the
 inverse real FFT of the same block feeds the reconstruction.  The pass
-holds the float64 half spectrum (4 L (L + 2) bytes) and one block, where
-``stft`` + ``stft_invert`` + |V| held 32 L^2.
+holds the float64 half spectrum (4 L (L + 2) bytes) and one block.  Its
+window rows g0[j - n] are the real part of the a = b = 1 slice of the Zak
+windows that :func:`frames.analysis` and :func:`frames.synthesis` read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridMismatchError, SampleGrid, Signal, _parity_signs, inner
-from .frames import _rolled_windows, analysis, synthesis
+from .frames import _zak_windows, analysis, synthesis
 from .lattices import Lattice
 
 __all__ = [
@@ -158,7 +159,7 @@ def stft_diagnostics(f: Signal, g: Signal) -> tuple[float, np.ndarray, Signal]:
     grid = f.grid
     L, half = grid.L, grid.L // 2 + 1
     f0 = f.values.real * _parity_signs(np.arange(grid.L) - grid.origin)
-    G = _rolled_windows(np.roll(g.values.real, -grid.origin), Lattice(1, 1, grid))
+    G = _zak_windows(np.roll(g.values, -grid.origin), Lattice(1, 1, grid))[0, :, :, 0].real
     mag = np.empty((L, half))[::-1]
     acc = np.zeros(L)
     energy = 0.0

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SampleGrid, Signal, _parity_signs, fourier
-from .frames import _rolled_windows, canonical_tight
+from .frames import _zak_windows, canonical_tight
 from .lattices import Lattice, make_lattice
 from .windows import WindowSpec, sample_window
 from .zak import zak_tightness
@@ -113,14 +113,14 @@ def _assemble(
 ) -> WilsonSystem:
     """Fill one atom matrix with the m = 0 block, the rows m = 1..nyq-1 and the Nyquist block.
 
-    Atoms are in (j, m) order.  R[j] is g translated by j beta, a read-only
-    view of the Lattice(s, 1) windows.  The m = 0 block is ``m0_weight``
-    times the even translates, ``row(m, j, R, out)`` writes the (J, L) atoms
-    of row m into ``out``, and the Nyquist block is ``nyq_carrier(nyq)``
-    times the translates of the Nyquist parity.
+    Atoms are in (j, m) order.  R[j] is g translated by j beta, the b = 1
+    slice of the read-only Zak windows of Lattice(s, 1).  The m = 0 block is
+    ``m0_weight`` times the even translates, ``row(m, j, R, out)`` writes the
+    (J, L) atoms of row m into ``out``, and the Nyquist block is
+    ``nyq_carrier(nyq)`` times the translates of the Nyquist parity.
     """
     s, J, nyq = _check_beta(beta, g.grid)
-    R = _rolled_windows(g.values, Lattice(s, 1, g.grid))
+    R = _zak_windows(g.values, Lattice(s, 1, g.grid))[0, :, :, 0]
     j = np.arange(J)
     j_nyq = j[nyq % 2 :: 2]
     js = [j[: J // 2]] + [j] * (nyq - 1) + [j_nyq]

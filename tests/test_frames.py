@@ -76,8 +76,8 @@ def test_analysis_matches_direct_inner_products(rng):
             assert c[n, k] == pytest.approx(inner(f, atom), abs=1e-12)
 
 
-# a = b = 1 (the STFT lattice, rolled windows), then every shape of the Zak path:
-# (p, q) = (2, 2), (2, 3), (3, 3), (1, 2), (4, 1) at redundancy 0.75, and (1, 8)
+# a = b = 1 (the STFT lattice), then every shape of the Zak path: (p, q) = (2, 2),
+# (2, 3), (3, 3), (1, 2), (4, 1) at redundancy 0.75, (1, 8), and b = 1 at a = 3 (Wilson's shape)
 @pytest.mark.parametrize(
     "grid_, a, b",
     [
@@ -88,6 +88,7 @@ def test_analysis_matches_direct_inner_products(rng):
         (SampleGrid(64, 1 / 8), 4, 2),
         (SampleGrid(48, 1 / 6), 16, 4),
         (SampleGrid(96, 1 / 8), 4, 8),
+        (SampleGrid(24, 1 / 4), 3, 1),
     ],
 )
 def test_analysis_and_synthesis_match_atom_sums(rng, grid_, a, b):
@@ -108,19 +109,6 @@ def test_analysis_and_synthesis_match_atom_sums(rng, grid_, a, b):
     assert np.max(np.abs(synthesis(g, lat, c).values - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
-def test_rolled_windows_is_a_read_only_view(rng):
-    from gaborlab.frames import _rolled_windows
-
-    lat = Lattice(12, 4, SampleGrid(120, 1 / 10))
-    g = random_signal(lat.grid, rng).values
-    G = _rolled_windows(g, lat)
-    n, j = np.meshgrid(np.arange(lat.n_time), np.arange(lat.grid.L), indexing="ij")
-    assert np.array_equal(G, g[(j - n * lat.a) % lat.grid.L])
-    assert G.base is not None and G.strides[0] < 0  # a strided view, not a gathered copy
-    with pytest.raises(ValueError, match="read-only"):
-        G[1, 0] = 0.0
-
-
 def test_zak_windows_is_a_read_only_view(rng):
     from gaborlab.frames import _zak_windows
 
@@ -139,6 +127,15 @@ def test_zak_windows_is_a_read_only_view(rng):
     assert W.base is not None and W.strides[1] < 0  # a strided view, not a gathered copy
     with pytest.raises(ValueError, match="read-only"):
         W[0, 1, 0, 0] = 0.0
+    # b = 1 (p = q = 1, K = L): the slice W[0, :, :, 0] is the rolled windows g[j - n a]
+    lat = Lattice(12, 1, lat.grid)
+    W = _zak_windows(g, lat)
+    G = W[0, :, :, 0]
+    n, j = np.meshgrid(np.arange(lat.n_time), np.arange(lat.grid.L), indexing="ij")
+    assert np.array_equal(G, g[(j - n * lat.a) % lat.grid.L])
+    assert W.base is not None and G.strides[0] < 0  # a strided view, not a gathered copy
+    with pytest.raises(ValueError, match="read-only"):
+        G[1, 0] = 0.0
 
 
 def test_analysis_onb_single_coefficient(grid):
@@ -160,8 +157,9 @@ def _broadcast_synthesis(g, lat, c):
     return np.sum(w[:, None, :] * G.reshape(lat.n_time, lat.b, P), axis=0).reshape(lat.grid.L)
 
 
-# (4, 8) has p = 1, (12, 6) has p = 3: the Zak path against the folded product
-@pytest.mark.parametrize("a, b", [(1, 1), (4, 8), (12, 6)])
+# (1, 1) and (4, 1) have b = 1, (4, 8) has p = 1, (12, 6) has p = 3: the Zak path
+# against the folded product
+@pytest.mark.parametrize("a, b", [(1, 1), (4, 1), (4, 8), (12, 6)])
 def test_synthesis_matches_the_broadcast_product(rng, a, b):
     grid_ = SampleGrid(96, 1 / 8)
     lat = Lattice(a, b, grid_)
