@@ -120,6 +120,7 @@ INVOCATIONS = [
     ("hrt-gram-alias-time", ["hrt-gram", "--points", "0,0;32,0"], 2),
     ("hrt-extension-alias",
      ["hrt-extension", "--base", "0,0;0,1;1,0", "--domain", "-40..40", "--res", "160"], 2),
+    ("framebounds-negative", ["framebounds", "--alpha", "-1", "--beta", "1"], 2),
     ("janssen-negative", ["janssen", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("bspline-dual-negative", ["bspline-dual", *BSPLINE, "--alpha", "-1", "--beta", "-0.5"], 2),
     ("dual-not-frame", ["dual", *BASE, *BSPLINE, "--alpha", "2.25", "--beta", "0.25"], 3),

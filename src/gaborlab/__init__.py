@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .core import (
     GridMismatchError,
+    NumericalError,
     SampleGrid,
     Signal,
     fourier,

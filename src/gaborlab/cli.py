@@ -34,20 +34,12 @@ import numpy as np
 from . import __version__
 from .cache import cache_get_or_compute, cache_key, source_fingerprint
 from .config import ConfigError, RunConfig, load_config_file
-from .core import SampleGrid, Signal
-from .duality import (
-    BeyondProvenRegionsError,
-    SingularSliceError,
-    bspline_compact_dual,
-    classify_point_g2,
-    compact_window,
-    janssen_residual,
-)
-from .frames import NotAFrameError, canonical_dual, canonical_tight, frame_bounds
+from .core import NumericalError, SampleGrid, Signal
+from .duality import bspline_compact_dual, classify_point_g2, compact_window, janssen_residual
+from .frames import canonical_dual, canonical_tight, frame_bounds
 from .frameset import scan_frame_set
 from .hrt import (
     Configuration,
-    InsufficientCoverageError,
     classify_configuration,
     extension_field,
     extension_integral,
@@ -65,7 +57,7 @@ from .serialize import (
     signal_csv,
     stable_json,
 )
-from .stft import NearOrthogonalPairError, stft_diagnostics
+from .stft import stft_diagnostics
 from .wilson import (
     build_wilson_classical,
     build_wilson_general,
@@ -74,17 +66,6 @@ from .wilson import (
     wilson_parseval_residual,
 )
 from .windows import parse_window, sample_window
-
-# exit 3; every other ValueError (config, snap, wraparound, ...) exits 2.
-# LinAlgError subclasses ValueError, so it must be listed here.
-NUMERICAL_ERRORS = (
-    np.linalg.LinAlgError,
-    NotAFrameError,
-    SingularSliceError,
-    BeyondProvenRegionsError,
-    NearOrthogonalPairError,
-    InsufficientCoverageError,
-)
 
 
 # Parameter types: each converts one flag or config-file string.
@@ -551,12 +532,12 @@ def run(argv: list[str]) -> int:
         report = {"command": args.command, "version": __version__, "config": asdict(cfg)}
         print(stable_json(dict(report, result=result)), flush=True)
         return 0
-    except NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError too
         return _error("numerical", str(exc), 3)
     except (ValueError, MemoryError) as exc:  # numpy names the allocation it refused
         return _error("validation", str(exc), 2)
     except OSError as exc:
-        return _error("validation", f"I/O failure: {exc}", 2)
+        return _error("io", f"I/O failure: {exc}", 2)
 
 
 def entrypoint() -> None:

@@ -18,6 +18,7 @@ __all__ = [
     "SampleGrid",
     "Signal",
     "GridMismatchError",
+    "NumericalError",
     "inner",
     "translate",
     "modulate",
@@ -28,6 +29,10 @@ __all__ = [
 
 class GridMismatchError(ValueError):
     """Two signals that must share a grid do not."""
+
+
+class NumericalError(ValueError):
+    """A well-posed request that the numerics refuse; the CLI exits 3 on it."""
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,6 @@ class SampleGrid:
     def x(self) -> np.ndarray:
         """Physical coordinates, x_j = (j - L/2) * delta."""
         return (np.arange(self.L) - self.origin) * self.delta
-
-    def xi(self) -> np.ndarray:
-        """Dual (frequency) coordinates, xi_k = (k - L/2) / T."""
-        return (np.arange(self.L) - self.origin) / self.T
 
     def dual(self) -> "SampleGrid":
         """Grid of the centered discrete Fourier transform (step 1/T)."""

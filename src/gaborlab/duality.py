@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import NumericalError
 from .windows import WindowSpec, bspline_values, support_interval, window_values
 
 __all__ = [
@@ -40,11 +41,11 @@ SLICE_COND_LIMIT = 1e10  # bspline_compact_dual: slice matrices at or above this
 COMPACT_STEP = 1.0 / 256.0  # compact_window: sample spacing
 
 
-class SingularSliceError(ValueError):
+class SingularSliceError(NumericalError):
     """Some slice matrix G_m(x) is numerically singular."""
 
 
-class BeyondProvenRegionsError(ValueError):
+class BeyondProvenRegionsError(NumericalError):
     """The support rule needs m > 3, outside the proven subregions."""
 
 
@@ -152,7 +153,7 @@ def required_slice_order(N: int, alpha: float, beta: float) -> int:
     m / beta >= N/2 + (2m-1) alpha / 2, i.e. m >= beta (N - alpha) / (2 (1 - alpha beta)).
     """
     if not (0 < alpha * beta < 1):
-        raise ValueError("need 0 < alpha*beta < 1")
+        raise ValueError(f"need 0 < alpha*beta < 1, got {alpha * beta:g}")
     val = beta * (N - alpha) / (2.0 * (1.0 - alpha * beta))
     return max(1, int(math.ceil(val - 1e-12)))
 
@@ -177,8 +178,6 @@ def bspline_compact_dual(
         raise ValueError("need N >= 2 (the order-1 spline has its trivial dual)")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    if not (0 < alpha * beta < 1):
-        raise ValueError(f"need 0 < alpha*beta < 1, got {alpha * beta:g}")
     m_req = required_slice_order(N, alpha, beta)
     if m == "auto":
         if m_req > 3:

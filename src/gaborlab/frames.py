@@ -55,7 +55,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import GridMismatchError, Signal, _parity_signs, _unzak, _zak
+from .core import GridMismatchError, NumericalError, Signal, _parity_signs, _unzak, _zak
 from .lattices import Lattice
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
 FRAME_RATIO = 1e-6  # is_frame threshold: A > FRAME_RATIO * B
 
 
-class NotAFrameError(ValueError):
+class NotAFrameError(NumericalError):
     """Operation requires a frame but the smallest eigenvalue is too small."""
 
 

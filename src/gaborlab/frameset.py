@@ -37,8 +37,6 @@ class FrameSetMap:
     carry label "unsnappable" and NaN bounds.
     """
 
-    window: WindowSpec
-    grid: SampleGrid
     alpha_targets: np.ndarray
     beta_targets: np.ndarray
     alpha_snapped: np.ndarray = field(repr=False)
@@ -99,4 +97,4 @@ def scan_frame_set(
     A, B = np.moveaxis(bounds[row[:, None], col], -1, 0)
     a_snap = np.where(snapped, a * grid.delta, np.nan)
     b_snap = np.where(snapped, (b / grid.T)[:, None], np.nan)
-    return FrameSetMap(spec, grid, alphas, betas, a_snap, b_snap, A, B, labels)
+    return FrameSetMap(alphas, betas, a_snap, b_snap, A, B, labels)

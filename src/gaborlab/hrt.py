@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, _cell_centres, tf_shift, translate
+from .core import NumericalError, Signal, _cell_centres, tf_shift, translate
 
 __all__ = [
     "Configuration",
@@ -43,7 +43,7 @@ LABEL_TOL = 1e-9  # classify_configuration: distance tolerance, times max |coord
 NORMAL_TOL = 1e-12  # normalize_configuration: distance tolerance, times max(1, max |coord|)
 
 
-class InsufficientCoverageError(ValueError):
+class InsufficientCoverageError(NumericalError):
     """Field domain does not cover the effective support of F."""
 
 
@@ -261,14 +261,12 @@ def normalize_configuration(config: Configuration) -> tuple[Configuration, Norma
 
 @dataclass(frozen=True)
 class ExtensionField:
-    """F(a, b) over a rectangular grid, with the base Gramian attached."""
+    """F(a, b) over a rectangular grid, for the base in its normal form."""
 
     base: Configuration
     a_grid: np.ndarray
     b_grid: np.ndarray
     F: np.ndarray = field(repr=False)  # shape (len(b_grid), len(a_grid))
-    base_gram: np.ndarray = field(repr=False)
-    normalization: NormalizationRecord
 
     @property
     def cell_area(self) -> float:
@@ -308,7 +306,7 @@ def extension_field(
     # the phases 2 pi b x (|x| <= T/2) and the shifts a / delta must stay finite
     if not math.isfinite(2.0 * math.pi * max(map(abs, domain)) * max(g.grid.T, 1.0 / g.grid.delta)):
         raise ValueError(f"domain {domain[0]:g}..{domain[1]:g} overflows the phases of this grid")
-    base, record = normalize_configuration(base)
+    base = normalize_configuration(base)[0]
     g = g.unit()
     fam, A = _family_gram(g, base.points)
     eigs = np.linalg.eigvalsh(A)
@@ -329,9 +327,7 @@ def extension_field(
     operands = (_flush_subnormals(fam[k] * conj_shifted) for k in range(3))
     U = np.stack([g.grid.delta * (E @ op.T) for op in operands])
     F = np.einsum("kij,kl,lij->ij", np.conj(U), Ainv, U).real
-    return ExtensionField(
-        base=base, a_grid=a_grid, b_grid=b_grid, F=F, base_gram=A, normalization=record
-    )
+    return ExtensionField(base=base, a_grid=a_grid, b_grid=b_grid, F=F)
 
 
 def extension_integral(field: ExtensionField) -> float:

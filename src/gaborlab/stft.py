@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridMismatchError, SampleGrid, Signal, _parity_signs, inner
+from .core import GridMismatchError, NumericalError, SampleGrid, Signal, _parity_signs, inner
 from .frames import _zak_windows, analysis, synthesis
 from .lattices import Lattice
 
@@ -54,7 +54,7 @@ MIN_OVERLAP = 1e-10  # stft_invert rejects window pairs with |<g,h>| below this
 BLOCK_ROWS = 64  # rows n per block of stft_diagnostics: 1 MiB of float64 at L = 2048
 
 
-class NearOrthogonalPairError(ValueError):
+class NearOrthogonalPairError(NumericalError):
     """<g, h> is too small for the 1/<g,h> inversion weight."""
 
 

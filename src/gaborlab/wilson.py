@@ -71,10 +71,7 @@ class WilsonSystem:
 
 
 def make_wilson_window(
-    g: Signal | WindowSpec,
-    beta: float,
-    grid: SampleGrid | None = None,
-    wrap_tol: float = 1e-12,
+    spec: WindowSpec, beta: float, grid: SampleGrid, wrap_tol: float = 1e-12
 ) -> Signal:
     """Unit-norm canonical tight window of the Gabor system behind a Wilson basis.
 
@@ -83,11 +80,8 @@ def make_wilson_window(
     system is tight with frame bound equal to the redundancy, and the
     beta-scaled window generates a Parseval frame.
     """
-    if isinstance(g, WindowSpec):
-        if grid is None:
-            raise ValueError("grid is required when passing a WindowSpec")
-        g = sample_window(g, grid, wrap_tol=wrap_tol)
-    lat, _, _ = make_lattice(g.grid, beta, 1.0, snap_tol=1e-9 * g.grid.delta)
+    g = sample_window(spec, grid, wrap_tol=wrap_tol)
+    lat, _, _ = make_lattice(grid, beta, 1.0, snap_tol=1e-9 * grid.delta)
     tight = canonical_tight(g, lat)
     return tight.unit()
 

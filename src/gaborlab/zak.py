@@ -27,7 +27,6 @@ class ZakMatrix:
     """Zak coefficients Z[n, k], n = 0..K-1, k = 0..M-1, with L = K * M."""
 
     values: np.ndarray = field(repr=False)
-    K: int
     grid_delta: float
 
     @property
@@ -44,7 +43,7 @@ def zak(f: Signal, K: int) -> ZakMatrix:
     L = f.grid.L
     if not (1 <= K <= L and L % K == 0):
         raise ValueError(f"K={K} must divide L={L}")
-    return ZakMatrix(values=_zak(f.values, K), K=K, grid_delta=f.grid.delta)
+    return ZakMatrix(values=_zak(f.values, K), grid_delta=f.grid.delta)
 
 
 @dataclass(frozen=True)

@@ -418,7 +418,8 @@ def test_unwritable_outdir_exits_2(tmp_path, monkeypatch, capsys):
     )
     out = capsys.readouterr().out
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "validation"
+    error = json.loads(out)["error"]
+    assert error["kind"] == "io" and error["message"].startswith("I/O failure: ")
 
 
 def test_cli_flag_reordering_hits_cache(env):

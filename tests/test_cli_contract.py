@@ -1,7 +1,10 @@
 """CLI contract on cache hits, config-file keys and numeric input."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -9,9 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
+import gaborlab
 from gaborlab import cli, windows
 from gaborlab.cache import source_fingerprint
-from gaborlab.core import SampleGrid
+from gaborlab.core import NumericalError, SampleGrid
 from gaborlab.wilson import build_wilson_classical, build_wilson_general, make_wilson_window
 from gaborlab.windows import parse_window
 
@@ -380,15 +384,28 @@ def test_shifts_the_default_grid_aliases_exit_2(invoke, tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_linalg_error_exits_3(invoke, monkeypatch):
-    # LinAlgError subclasses ValueError; it is still a numerical failure
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+def _package_errors() -> list[type]:
+    """Every exception class that a module of the package defines, by name."""
+    modules = (importlib.import_module(f"gaborlab.{m.name}")
+               for m in pkgutil.iter_modules(gaborlab.__path__))
+    found = {cls for mod in modules for _, cls in inspect.getmembers(mod, inspect.isclass)
+             if issubclass(cls, BaseException) and cls.__module__ == mod.__name__}
+    return sorted(found, key=lambda cls: cls.__name__)
 
-    monkeypatch.setattr(cli, "frame_bounds", singular)
+
+@pytest.mark.parametrize("error", [*_package_errors(), np.linalg.LinAlgError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_type(invoke, monkeypatch, error):
+    # exit 3 exactly for the numerical refusals; LinAlgError subclasses ValueError but is one
+    def refuse(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "frame_bounds", refuse)
     code, out, _ = invoke("framebounds", *SMALL, "--alpha", "1", "--beta", "0.5", "--no-cache")
-    assert code == 3
-    assert json.loads(out)["error"]["kind"] == "numerical"
+    numerical = issubclass(error, (NumericalError, np.linalg.LinAlgError))
+    assert (code, json.loads(out)["error"]["kind"]) == (
+        (3, "numerical") if numerical else (2, "validation")
+    )
 
 
 @pytest.mark.parametrize(
@@ -615,7 +632,7 @@ def test_closed_stdout_exits_2_with_the_error_on_stderr(tmp_path):
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     error = json.loads(proc.stderr)["error"]
-    assert error["kind"] == "validation" and "Broken pipe" in error["message"]
+    assert error["kind"] == "io" and "Broken pipe" in error["message"]
 
 
 def test_cli_import_loads_no_third_party_module_beyond_numpy():

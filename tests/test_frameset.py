@@ -227,11 +227,10 @@ def test_framemap_csv_matches_reference_loop():
     from gaborlab.frameset import FrameSetMap
 
     special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 0.1, -1e300]
-    grid = SampleGrid(16, 0.25)
     alphas, betas = np.array([0.1, 1 / 3, 2.0]), np.array([1e-300, 0.5, -0.0])
     cells = [np.roll(special, k).reshape(3, 3) for k in range(4)]
     labels = np.array([["", "unsnappable", "painless"]] * 3, dtype=object)
-    fmap = FrameSetMap(WindowSpec("gaussian"), grid, alphas, betas, *cells, labels)
+    fmap = FrameSetMap(alphas, betas, *cells, labels)
     lines = ["alpha_target,beta_target,alpha_snap,beta_snap,A,B,label"]
     for i in range(3):
         for j in range(3):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gaborlab import cache, cli
-from gaborlab.core import SampleGrid, Signal
+from gaborlab.core import GridMismatchError, SampleGrid, Signal
 from gaborlab.duality import CompactSignal, compact_window, janssen_residual, required_slice_order
 from gaborlab.frames import analysis, synthesis
 from gaborlab.frameset import scan_frame_set
@@ -23,13 +23,14 @@ from gaborlab.hrt import (
     Configuration,
     classify_configuration,
     extension_field,
+    gramian,
     normalize_configuration,
     schur_identity_check,
 )
-from gaborlab.lattices import Lattice
+from gaborlab.lattices import Lattice, make_lattice
 from gaborlab.serialize import stable_json
 from gaborlab.stft import PhaseSpaceField, stft_invert
-from gaborlab.wilson import _check_beta, make_wilson_window, taper_wilson_window
+from gaborlab.wilson import _check_beta, taper_wilson_window
 from gaborlab.windows import WindowSpec, sample_window, support_interval
 from gaborlab.zak import zak_tightness
 
@@ -127,9 +128,13 @@ CASES = [
                  "cannot normalize the zero signal", id="unit-zero-signal"),
     pytest.param(_call(Lattice, 3, 2, GRID), ValueError, "a=3 must divide L=16", id="lattice-a"),
     pytest.param(_call(Lattice, 4, 5, GRID), ValueError, "b=5 must divide L=16", id="lattice-b"),
+    pytest.param(_call(make_lattice, GRID, 0.0, 1.0), ValueError,
+                 "alpha and beta targets must be positive", id="make-lattice-zero-alpha"),
     pytest.param(_call(CompactSignal, x_lo=1.0, x_hi=1.0, step=0.5, samples=np.ones(1)),
                  ValueError, "x_lo must be below x_hi", id="compact-signal-support"),
     # frames and the phase-space transform
+    pytest.param(_call(analysis, Signal(OTHER, np.ones(16)), LAT, G), GridMismatchError,
+                 "window grid does not match lattice grid", id="analysis-window-grid"),
     pytest.param(_call(analysis, G, LAT, Signal(OTHER, np.zeros(16))), ValueError,
                  "signal grid does not match lattice grid", id="analysis-signal-grid"),
     pytest.param(_call(synthesis, G, LAT, np.zeros((4, 4))), ValueError,
@@ -149,6 +154,8 @@ CASES = [
     pytest.param(_call(scan_frame_set, WindowSpec("gaussian"), (-1.0, 1.0), (0.5, 1.0), 2, GRID),
                  ValueError, "ranges must be non-negative", id="scan-negative-range"),
     # HRT configurations
+    pytest.param(_call(gramian, Signal(GRID, np.zeros(16)), UNIT), ValueError,
+                 "window must be nonzero", id="gramian-zero-window"),
     pytest.param(_call(classify_configuration, Configuration(((0.0, 0.0),))), ValueError,
                  "need at least two points", id="classify-one-point"),
     pytest.param(_call(normalize_configuration, Configuration(((0.0, 0.0), (1.0, 0.0)))),
@@ -163,8 +170,6 @@ CASES = [
                  ValueError, "base configuration must have exactly three points",
                  id="extension-base-size"),
     # Wilson systems
-    pytest.param(_call(make_wilson_window, WindowSpec("gaussian"), 0.5), ValueError,
-                 "grid is required when passing a WindowSpec", id="wilson-spec-without-grid"),
     pytest.param(_call(_check_beta, 0.3, GRID), ValueError,
                  "beta=0.3 shifts are not grid-aligned", id="wilson-beta-off-grid"),
     pytest.param(_call(_check_beta, 0.75, GRID), ValueError,

@@ -138,7 +138,7 @@ def test_blocked_pgm_over_several_default_blocks():
 def test_field_csv_matches_reference_loop():
     a_grid, b_grid = np.linspace(-1, 1, 5), np.array([-0.5, 0.0, 1 / 3])
     F = np.array(SPECIAL + SPECIAL[:5]).reshape(3, 5)
-    field = ExtensionField(None, a_grid, b_grid, F, base_gram=None, normalization=None)
+    field = ExtensionField(None, a_grid, b_grid, F)
     lines = ["a,b,F"]
     for i, b in enumerate(b_grid):
         for j, a in enumerate(a_grid):

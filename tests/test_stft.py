@@ -44,7 +44,7 @@ def f(g):
 def test_values_match_direct_inner_products(f, g):
     # oracle: V[n, k] = <f, M_{xi_k} T_{x_n} g> via the shift operators
     V = stft(f, g)
-    x, xi = GRID.x(), GRID.xi()
+    x, xi = GRID.x(), GRID.dual().x()
     for n in (0, 17, 128, 255):
         for k in (0, 40, 128, 230):
             direct = inner(f, tf_shift(g, (x[n], xi[k])))
@@ -66,7 +66,7 @@ def test_gaussian_ambiguity_law():
     g0 = sample_window(WindowSpec("gaussian"), GRID)  # e^{-pi x^2}, norm 2^{-1/4}
     V = stft(g0, g0)
     X = GRID.x()[:, None]
-    XI = GRID.xi()[None, :]
+    XI = GRID.dual().x()[None, :]
     ref = (1 / np.sqrt(2)) * np.exp(-np.pi * (X**2 + XI**2) / 2)
     assert np.max(np.abs(np.abs(V.values) - ref)) < 1e-8
 
@@ -150,7 +150,7 @@ def test_inversion_of_arbitrary_field():
     h = sample_window(WindowSpec("sech"), grid, wrap_tol=1.0)
     rng = np.random.default_rng(11)
     V = PhaseSpaceField(grid, rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
-    x, xi = grid.x(), grid.xi()
+    x, xi = grid.x(), grid.dual().x()
     direct = sum(
         V.values[n, k] * tf_shift(h, (x[n], xi[k])).values for n in range(32) for k in range(32)
     )
@@ -169,7 +169,7 @@ def test_values_match_direct_inner_products_odd_origin(grid):
     g = sample_window(WindowSpec("gaussian"), grid, wrap_tol=1.0).unit()
     f = random_signal(grid, np.random.default_rng(13))
     V = stft(f, g)
-    x, xi = grid.x(), grid.xi()
+    x, xi = grid.x(), grid.dual().x()
     direct = np.array(
         [[inner(f, tf_shift(g, (x[n], xi[k]))) for k in range(grid.L)] for n in range(grid.L)]
     )
@@ -183,7 +183,7 @@ def test_inversion_of_arbitrary_field_odd_origin(grid):
     h = sample_window(WindowSpec("sech"), grid, wrap_tol=10.0)
     rng = np.random.default_rng(17)
     V = PhaseSpaceField(grid, rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)))
-    x, xi = grid.x(), grid.xi()
+    x, xi = grid.x(), grid.dual().x()
     direct = sum(
         V.values[n, k] * tf_shift(h, (x[n], xi[k])).values for n in range(L) for k in range(L)
     )

@@ -12,6 +12,7 @@ from gaborlab import (
     WindowSpec,
     build_wilson_classical,
     build_wilson_general,
+    canonical_tight,
     frame_bounds,
     make_wilson_window,
     sample_window,
@@ -50,7 +51,7 @@ def test_wilson_window_is_unit_and_tight(tight_half, grid):
 
 def test_already_tight_returned_up_to_scale(grid):
     t = taper_wilson_window(0.25, grid)
-    again = make_wilson_window(t, 0.25, grid)
+    again = canonical_tight(t, Lattice(8, 32, grid))  # the (1/4, 1) lattice
     ratio = again.values[np.abs(t.values) > 1e-9] / t.values[np.abs(t.values) > 1e-9]
     assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
