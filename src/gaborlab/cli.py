@@ -7,8 +7,8 @@ required-parameter check and the cache key.  A handler returns its result
 and its artifacts; ``run`` writes the CSV, PGM and NPY artifacts to the
 output directory and a JSON report to stdout.  A report whose command wrote
 files lists them under ``result.artifacts``, sorted and relative to the
-output directory.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure; errors print a machine-readable JSON object.
+output directory.  Exit codes: 0 success, 2 validation or I/O error, 3
+numerical failure; errors print a machine-readable JSON object.
 Reports embed the resolved configuration, snap errors and the tool version.
 Repeated invocations are served from a content-addressed cache whose entries
 hold the result and the artifact bytes, so a hit restores the artifacts into
