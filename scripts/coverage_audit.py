@@ -61,6 +61,7 @@ threading.settrace(_call)
 """
 
 UNCOUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+BLOCKS = ("body", "orelse", "finalbody", "handlers")  # the nested statements of a statement
 
 
 def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
@@ -76,18 +77,18 @@ def statements(source: str) -> list[tuple[int, set[int]]]:
     """(first line, own lines) of each counted statement of a module."""
     found = []
 
+    def nested(node: ast.AST) -> list[ast.AST]:
+        return [child for block in BLOCKS for child in getattr(node, block, [])]
+
     def visit(parent: ast.AST) -> None:
-        for name in ("body", "orelse", "finalbody", "handlers", "cases"):
-            for node in getattr(parent, name, []):
-                if isinstance(node, ast.stmt) and not isinstance(node, UNCOUNTED):
-                    if not _is_docstring(node, parent):
-                        children = [c for field in ("body", "orelse", "finalbody", "handlers")
-                                    for c in getattr(node, field, [])]
-                        own = set(range(node.lineno, node.end_lineno + 1))
-                        for child in children:
-                            own -= set(range(child.lineno, child.end_lineno + 1))
-                        found.append((node.lineno, own or {node.lineno}))
-                visit(node)
+        for node in nested(parent):
+            if (isinstance(node, ast.stmt) and not isinstance(node, UNCOUNTED)
+                    and not _is_docstring(node, parent)):
+                own = set(range(node.lineno, node.end_lineno + 1))
+                for child in nested(node):
+                    own -= set(range(child.lineno, child.end_lineno + 1))
+                found.append((node.lineno, own or {node.lineno}))
+            visit(node)
 
     visit(ast.parse(source))
     return sorted(found, key=lambda s: s[0])
